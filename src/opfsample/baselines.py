@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import pairwise_distances
+from .cluster import _neighbor_order, pairwise_distances
 from .data import minority_label_of
 from .oversample import largest_remainder
 
@@ -41,15 +41,12 @@ class NeighborConfig:
             raise ValueError("kappa must be a positive integer")
 
 
-def _neighbor_table(X: np.ndarray, k: int) -> np.ndarray:
-    """Indices of each row's k nearest rows (self excluded, stable order)."""
-    dist = pairwise_distances(X)
-    n = X.shape[0]
-    table = np.empty((n, k), dtype=np.intp)
-    for i in range(n):
-        row = np.argsort(dist[i], kind="stable")
-        table[i] = row[row != i][:k]
-    return table
+def _neighbor_table(X: np.ndarray, k: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """Indices of the k nearest rows of X, per row in ``rows`` (default all).
+
+    Self is excluded and ties keep ascending index order.
+    """
+    return _neighbor_order(pairwise_distances(X), rows)[:, :k]
 
 
 def _interpolate(rng: np.random.Generator, bases: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
@@ -86,11 +83,9 @@ def _majority_neighbor_counts(
         raise ValueError("need at least two minority samples")
     if kappa > n_min - 1:
         raise ValueError(f"kappa={kappa} out of range for {n_min} minority samples")
-    table = _neighbor_table(np.asarray(X, dtype=np.float64), kappa)
-    counts = np.array(
-        [int(np.count_nonzero(y[table[i]] != minority)) for i in minority_idx],
-        dtype=np.int64,
-    )
+    # only the minority rows' neighborhoods are read, so only they are sorted
+    table = _neighbor_table(np.asarray(X, dtype=np.float64), kappa, minority_idx)
+    counts = np.count_nonzero(y[table] != minority, axis=1).astype(np.int64)
     return minority_idx, counts
 
 

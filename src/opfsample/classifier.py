@@ -6,6 +6,9 @@ path costs where a path costs its largest arc; each training sample inherits
 the label of the prototype whose tree conquered it. Prediction evaluates the
 same cost for a new point against every training sample, scanning in
 ascending training-cost order with an early exit.
+
+Fits that share their leading training rows can share the distances among
+those rows: ``fit`` takes them as ``known_dist`` and computes only the rest.
 """
 
 from __future__ import annotations
@@ -59,7 +62,15 @@ class OpfClassifier:
         self.prototypes_ = None
         self.pred_ = None
 
-    def fit(self, X, y) -> "OpfClassifier":
+    def fit(self, X, y, known_dist=None) -> "OpfClassifier":
+        """Train on ``X`` and binary labels ``y``.
+
+        ``known_dist``, when given, must be the distance matrix of the first t
+        rows of ``X`` as :func:`~opfsample.cluster.pairwise_distances` returns
+        it; only the remaining rows are computed, and the result is the same
+        as without it. A block that is not square with t <= n raises
+        ``ValueError``.
+        """
         X = np.array(X, dtype=np.float64)
         y = np.array(y, dtype=np.int64)
         if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -70,7 +81,7 @@ class OpfClassifier:
         if classes.size != 2:
             raise ValueError("training requires samples from both classes")
         n = X.shape[0]
-        dist = pairwise_distances(X)
+        dist = pairwise_distances(X, known=known_dist)
 
         protos = set()
         for a, b in _minimum_spanning_edges(dist):

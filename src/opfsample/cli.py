@@ -167,17 +167,20 @@ def _require_data(args) -> str:
 
 def _base_config(args, method: str) -> harness.ExperimentConfig:
     mode, ratio = parse_balance_mode(args.balance_mode or "balance")
-    return harness.ExperimentConfig(
-        data_path=_require_data(args),
-        label_column=args.label_col if args.label_col is not None else -1,
-        missing_token=args.missing_token or "?",
-        method=method,
-        grid=args.grid if method != "none" else None,
-        trials=args.trials if args.trials is not None else 20,
-        base_seed=args.seed if args.seed is not None else 0,
-        balance_mode=mode,
-        ratio=ratio,
-    )
+    try:
+        return harness.ExperimentConfig(
+            data_path=_require_data(args),
+            label_column=args.label_col if args.label_col is not None else -1,
+            missing_token=args.missing_token or "?",
+            method=method,
+            grid=args.grid if method != "none" else None,
+            trials=args.trials if args.trials is not None else 20,
+            base_seed=args.seed if args.seed is not None else 0,
+            balance_mode=mode,
+            ratio=ratio,
+        )
+    except ValueError as exc:  # out-of-range values, e.g. --trials 0 or --grid 0
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_run(args) -> int:
@@ -197,23 +200,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     methods = [m.strip() for m in (args.method or ",".join(harness.METHODS)).split(",") if m.strip()]
-    for m in methods:
-        if m not in harness.METHODS:
-            raise UsageError(f"unknown method {m!r}, expected one of {harness.METHODS}")
-    configs = []
-    for m in methods:
-        grid = args.grid if (args.grid and m != "none") else None
-        configs.append(harness.ExperimentConfig(
-            data_path=_require_data(args),
-            label_column=args.label_col if args.label_col is not None else -1,
-            missing_token=args.missing_token or "?",
-            method=m,
-            grid=grid,
-            trials=args.trials if args.trials is not None else 20,
-            base_seed=args.seed if args.seed is not None else 0,
-            balance_mode=parse_balance_mode(args.balance_mode or "balance")[0],
-            ratio=parse_balance_mode(args.balance_mode or "balance")[1],
-        ))
+    if not methods:
+        raise UsageError("--method names no method")
+    configs = [_base_config(args, m) for m in methods]
     cmp_report = harness.compare_methods(configs)
     fmt = args.format or "text"
     if fmt == "text":

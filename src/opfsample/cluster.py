@@ -61,26 +61,48 @@ class ClusterForest:
     num_clusters: int
 
 
-def pairwise_distances(X: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance matrix, row by row (no cancellation tricks)."""
+def pairwise_distances(X: np.ndarray, known: np.ndarray | None = None) -> np.ndarray:
+    """Exact Euclidean distance matrix; each pair is computed once.
+
+    Row i is computed against rows 0..i only, as the square root of its
+    feature-ordered sum of squared differences, and mirrored into column i.
+    Negating a difference is exact, so every cell equals what a full
+    row-by-row pass gives, bit for bit (no cancellation tricks).
+
+    ``known`` may hold this function's own result on a prefix ``X[:t]``; that
+    block is copied and only rows t..n-1 are computed.
+    """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        out[i] = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+    t = 0
+    if known is not None:
+        known = np.asarray(known, dtype=np.float64)
+        if known.ndim != 2 or known.shape[0] != known.shape[1] or known.shape[0] > n:
+            raise ValueError(
+                f"known distances must be a square t x t block with t <= {n}, "
+                f"got shape {known.shape}"
+            )
+        t = known.shape[0]
+        out[:t, :t] = known
+    for i in range(t, n):
+        d = np.sqrt(((X[: i + 1] - X[i]) ** 2).sum(axis=1))
+        out[i, : i + 1] = d
+        out[:i, i] = d[:i]
     np.fill_diagonal(out, 0.0)
     return out
 
 
-def _neighbor_order(dist: np.ndarray) -> np.ndarray:
-    """All other nodes sorted by distance per row; stable, self excluded."""
+def _neighbor_order(dist: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Other nodes sorted by distance, per row in ``rows`` (default all).
+
+    The sort is stable and each row's own index is dropped, so equal
+    distances keep ascending index order.
+    """
     n = dist.shape[0]
-    order = np.argsort(dist, axis=1, kind="stable")
-    out = np.empty((n, n - 1), dtype=np.intp)
-    for i in range(n):
-        row = order[i]
-        out[i] = row[row != i]
-    return out
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    order = np.argsort(dist[rows], axis=1, kind="stable")
+    return order[order != rows[:, None]].reshape(rows.size, n - 1)
 
 
 def _graph_from_prefix(dist: np.ndarray, order: np.ndarray, k: int) -> KnnGraph:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .baselines import NeighborConfig, adasyn, borderline_smote, smote
 from .classifier import OpfClassifier
-from .cluster import sweep_normalized_cuts
+from .cluster import pairwise_distances, sweep_normalized_cuts
 from .data import Dataset, SplitSpec, impute_mean, load_csv, split, standardize
 from .errors import ExperimentError
 from .metrics import score, wilcoxon_signed_rank
@@ -82,8 +83,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.balance_mode not in (BALANCE_TO_MAJORITY, RATIO_MODE):
             raise ValueError(f"unknown balance mode {self.balance_mode!r}")
-        if self.ratio < 0:
-            raise ValueError("ratio must be nonnegative")
+        if not (math.isfinite(self.ratio) and self.ratio >= 0):
+            raise ValueError("ratio must be a finite nonnegative number")
         if self.grid is not None:
             grid = tuple(int(g) for g in self.grid)
             if not grid or any(g < 1 for g in grid):
@@ -146,6 +147,10 @@ class _TrialAugmenter:
     For the OPF oversampler the per-k clustering sweep is computed once up to
     the largest grid value; the winner for a grid value g is then the best k
     within 1..g, which matches running the full search per value.
+
+    Every augmented set starts with the training rows in their original
+    order, so :meth:`fit` computes the training partition's distance matrix
+    once per trial, on first use, and each classifier fit extends it.
     """
 
     def __init__(self, train: Dataset, cfg: ExperimentConfig, trial_seed: int):
@@ -166,6 +171,7 @@ class _TrialAugmenter:
             )
         self._cuts = None
         self._forests = None
+        self._train_dist = None
 
     def grid(self) -> tuple[int, ...]:
         values = self.cfg.effective_grid
@@ -212,6 +218,12 @@ class _TrialAugmenter:
             return self.train
         return append_minority_rows(self.train, rows)
 
+    def fit(self, aug: Dataset) -> OpfClassifier:
+        """Train the classifier on a set that :meth:`augment` returned."""
+        if self._train_dist is None:
+            self._train_dist = pairwise_distances(self.train.features)
+        return OpfClassifier().fit(aug.features, aug.labels, known_dist=self._train_dist)
+
 
 def select_hyperparameter(
     train: Dataset,
@@ -234,8 +246,7 @@ def select_hyperparameter(
     best_g = None
     best_recall = -1.0
     for g in grid:
-        aug = augmenter.augment(g)
-        model = OpfClassifier().fit(aug.features, aug.labels)
+        model = augmenter.fit(augmenter.augment(g))
         s = score(val.labels, model.predict_batch(val.features), val.minority_label)
         trace.append((g, s.recall))
         if s.recall > best_recall:
@@ -256,7 +267,7 @@ def evaluate_winner(
     if augmenter is None:
         augmenter = _TrialAugmenter(train, cfg, trial_seed)
     aug = augmenter.augment(chosen)
-    model = OpfClassifier().fit(aug.features, aug.labels)
+    model = augmenter.fit(aug)
     s = score(test.labels, model.predict_batch(test.features), test.minority_label)
     return s, aug.class_counts
 

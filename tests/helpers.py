@@ -34,6 +34,20 @@ def symmetrize(knn: list[list[int]]) -> list[set[int]]:
     return adj
 
 
+def pairwise_rows(X: np.ndarray) -> np.ndarray:
+    """Full distance matrix, each row against every row in one numpy pass.
+
+    Every cell sums its squared differences in feature order, as the library
+    kernel does, so the two agree bit for bit.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty((len(X), len(X)))
+    for i in range(len(X)):
+        out[i] = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 def pairwise(X: np.ndarray) -> np.ndarray:
     n = len(X)
     d = np.zeros((n, n))

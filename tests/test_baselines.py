@@ -3,6 +3,7 @@ import pytest
 
 from opfsample.baselines import (
     NeighborConfig,
+    _majority_neighbor_counts,
     adasyn,
     adasyn_allocation,
     borderline_danger_mask,
@@ -11,7 +12,7 @@ from opfsample.baselines import (
 )
 from opfsample.oversample import largest_remainder
 
-from helpers import on_segment_between
+from helpers import blob_dataset, brute_force_knn, on_segment_between
 
 
 def test_smote_two_points_stay_on_segment():
@@ -56,6 +57,17 @@ _BL_MINORITY = np.array(
 _BL_MAJORITY = np.array([[4.5, 2.0], [10.1, 10.0], [9.9, 10.0]])
 _BL_X = np.vstack([_BL_MINORITY, _BL_MAJORITY])
 _BL_Y = np.array([1, 1, 1, 1, 1, 0, 0, 0])
+
+
+def test_majority_neighbor_counts_match_brute_force():
+    X, y = blob_dataset(np.random.default_rng(63), n_maj=30, n_min=12, m=3, sep=1.0)
+    minority = np.flatnonzero(y == 1)
+    for kappa in (1, 3, 7):
+        idx, counts = _majority_neighbor_counts(X, y, 1, kappa)
+        knn = brute_force_knn(X, kappa)
+        np.testing.assert_array_equal(idx, minority)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [sum(int(y[j] != 1) for j in knn[i]) for i in minority]
 
 
 def test_borderline_danger_classification():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfsample.classifier import OpfClassifier
+from opfsample.cluster import pairwise_distances
 
 from helpers import (
     classifier_cost_closure,
@@ -171,3 +172,22 @@ def test_fit_and_predict_errors():
         model.predict(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         OpfClassifier().predict(np.array([0.0, 0.0]))  # not fitted
+
+
+def test_fit_with_known_prefix_equals_plain_fit():
+    rng = np.random.default_rng(48)
+    X = rng.normal(size=(30, 3))
+    y = rng.integers(0, 2, size=30)
+    y[:2] = [0, 1]
+    plain = OpfClassifier().fit(X, y)
+    for t in (0, 1, 17, 30):
+        model = OpfClassifier().fit(X, y, known_dist=pairwise_distances(X[:t]))
+        assert model.to_json() == plain.to_json()
+
+
+def test_fit_rejects_a_misshapen_known_block():
+    X = np.random.default_rng(49).normal(size=(6, 2))
+    y = np.array([0, 1, 0, 1, 0, 1])
+    for bad in (np.zeros((3, 4)), np.zeros(6), np.zeros((7, 7)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError):
+            OpfClassifier().fit(X, y, known_dist=bad)

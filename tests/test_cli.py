@@ -106,6 +106,25 @@ def test_usage_errors_exit_1(csv_path, capsys):
     assert main(["run", "--data", str(csv_path), "--grid", "x"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--trials", "0"],
+        ["run", "--grid", "0"],
+        ["compare", "--trials", "0"],
+        ["run", "--balance-mode", "ratio:-1"],
+        ["run", "--balance-mode", "ratio:nan"],
+        ["compare", "--balance-mode", "ratio:inf"],
+        ["compare", "--method", ","],
+    ],
+)
+def test_invalid_values_exit_1(csv_path, capsys, argv):
+    assert main([*argv, "--data", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["inspect", "--data", str(tmp_path / "absent.csv")]) == 2
     bad = tmp_path / "bad.csv"

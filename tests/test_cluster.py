@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opfsample.cluster import (
     ClusterForest,
@@ -11,6 +13,7 @@ from opfsample.cluster import (
     compute_density,
     find_best_k,
     normalized_cut,
+    pairwise_distances,
     sweep_normalized_cuts,
 )
 
@@ -18,8 +21,29 @@ from helpers import (
     brute_force_knn,
     cluster_cost_closure,
     cluster_cost_dfs,
+    pairwise_rows,
     symmetrize,
 )
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 40),
+    st.integers(1, 12),
+    st.floats(0.0, 0.5),
+    st.floats(0.0, 0.5),
+)
+def test_pairwise_distances_bitwise_equal_row_oracle(seed, n, m, dup_share, zero_share):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m)) * rng.choice([1e-3, 1.0, 1e3], size=m)
+    dups = rng.random(n) < dup_share
+    X[dups] = X[rng.integers(0, n, size=int(dups.sum()))]
+    X[:, rng.random(m) < zero_share] = 0.0
+    full = pairwise_distances(X).view(np.uint64)
+    np.testing.assert_array_equal(full, pairwise_rows(X).view(np.uint64))
+    for t in range(n + 1):
+        extended = pairwise_distances(X, known=pairwise_distances(X[:t]))
+        np.testing.assert_array_equal(extended.view(np.uint64), full)
 
 
 def forest_for(X, k):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opfsample import harness
+from opfsample import classifier, harness
 from opfsample.data import Dataset, split as data_split
 from opfsample.harness import (
     ExperimentConfig,
@@ -23,7 +23,7 @@ from opfsample.harness import (
 )
 from opfsample.oversample import oversample_to_count
 
-from helpers import blob_dataset
+from helpers import blob_dataset, pairwise_rows
 
 
 @pytest.fixture
@@ -49,6 +49,9 @@ def test_config_validation():
         ExperimentConfig(grid=())
     with pytest.raises(ValueError):
         ExperimentConfig(balance_mode="half")
+    for ratio in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExperimentConfig(balance_mode="ratio", ratio=ratio)
     assert ExperimentConfig(method="smote").effective_grid == tuple(range(5, 11))
     assert ExperimentConfig(method="o2pf").effective_grid == tuple(range(5, 101, 5))
     assert ExperimentConfig(method="none").effective_grid == ()
@@ -158,6 +161,28 @@ def test_all_methods_run_end_to_end(small_ds):
         assert 0.0 <= report.recall <= 1.0
         assert 0.0 <= report.accuracy <= 1.0
         assert 0.0 <= report.f1 <= 1.0
+
+
+@pytest.mark.parametrize("method", ["o2pf", "smote"])
+def test_shared_train_block_matches_row_oracle(small_ds, monkeypatch, method):
+    cfg = _cfg(method=method, grid=(3, 5), trials=1)
+    kernel = classifier.pairwise_distances
+    fits = []
+
+    def spy(X, known=None):
+        out = kernel(X, known=known)
+        fits.append((X, known, out))
+        return out
+
+    monkeypatch.setattr(classifier, "pairwise_distances", spy)
+    shared = run_trial(cfg, trial_seed=6, dataset=small_ds)
+    # two grid fits and the winner's refit, each offered the same training block
+    block = fits[0][1]
+    assert block is not None and len(fits) == 3 and all(known is block for _, known, _ in fits)
+    for X, _, out in fits:
+        np.testing.assert_array_equal(out.view(np.uint64), pairwise_rows(X).view(np.uint64))
+    monkeypatch.setattr(classifier, "pairwise_distances", lambda X, known=None: pairwise_rows(X))
+    assert run_trial(cfg, trial_seed=6, dataset=small_ds) == shared
 
 
 def test_splits_are_seed_paired_across_methods(small_ds, monkeypatch):
