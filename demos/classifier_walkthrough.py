@@ -39,6 +39,6 @@ clone = OpfClassifier.from_json(blob)
 assert (clone.predict_batch(X_test) == pred).all()
 print(f"serialized model: {len(blob)} bytes, round-trip predictions identical")
 
-# single-sample prediction uses an early exit over the cost-sorted order
+# single-sample prediction is a batch of one
 probe = np.array([0.5, 0.25])
 print(f"probe {probe.tolist()} -> class {model.predict(probe)}")

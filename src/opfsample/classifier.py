@@ -1,11 +1,13 @@
 """Supervised optimum-path forest classifier on a complete graph.
 
 Prototypes are the endpoints of minimum-spanning-tree arcs that join the two
-classes. Starting from cost 0 at the prototypes, a competition propagates
-path costs where a path costs its largest arc; each training sample inherits
-the label of the prototype whose tree conquered it. Prediction evaluates the
-same cost for a new point against every training sample, scanning in
-ascending training-cost order with an early exit.
+classes. A path costs its largest arc, and each training sample's cost is the
+cheapest such path from a prototype. Under this cost the optimum-path forest
+of the complete graph is a minimum spanning forest, so the costs are computed
+over the n - 1 arcs of the tree. Every single-class subtree left by cutting
+the tree's cross-class arcs holds a prototype of its own class, so each
+training sample keeps its own label. Prediction evaluates the same cost for a
+new point against every training sample.
 
 Fits that share their leading training rows can share the distances among
 those rows: ``fit`` takes them as ``known_dist`` and computes only the rest.
@@ -13,13 +15,14 @@ those rows: ``fit`` takes them as ``known_dist`` and computes only the rest.
 
 from __future__ import annotations
 
+import heapq
 import json
 
 import numpy as np
 
 from .cluster import pairwise_distances
 
-SERIAL_FORMAT_VERSION = 1
+SERIAL_FORMAT_VERSION = 2
 
 
 def _minimum_spanning_edges(dist: np.ndarray) -> list[tuple[int, int]]:
@@ -40,6 +43,27 @@ def _minimum_spanning_edges(dist: np.ndarray) -> list[tuple[int, int]]:
     return edges
 
 
+def _tree_minimax_costs(dist: np.ndarray, edges, sources: np.ndarray) -> np.ndarray:
+    """Smallest largest-arc cost from ``sources`` to each node over tree ``edges``."""
+    n = dist.shape[0]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    cost = np.full(n, np.inf)
+    heap = [(0.0, int(s)) for s in sources]
+    heapq.heapify(heap)
+    while heap:
+        c, u = heapq.heappop(heap)
+        if cost[u] <= c:
+            continue
+        cost[u] = c
+        for v in adj[u]:
+            if cost[v] == np.inf:
+                heapq.heappush(heap, (max(c, float(dist[u, v])), v))
+    return cost
+
+
 class OpfClassifier:
     """Optimum-path forest classifier for binary labels.
 
@@ -47,10 +71,9 @@ class OpfClassifier:
 
     - ``train_features_``, ``train_labels_``: the training data as given.
     - ``cost_``: per-sample optimum path cost (0 at prototypes).
-    - ``assigned_label_``: label propagated by the competition.
-    - ``order_``: sample indices sorted by ascending cost (processing order).
+    - ``assigned_label_``: the label each training sample predicts with; every
+      sample keeps its own, so this is ``train_labels_``.
     - ``prototypes_``: sorted indices of the MST-elected prototypes.
-    - ``pred_``: predecessor in the optimum path, -1 at prototypes.
     """
 
     def __init__(self):
@@ -58,9 +81,7 @@ class OpfClassifier:
         self.train_labels_ = None
         self.cost_ = None
         self.assigned_label_ = None
-        self.order_ = None
         self.prototypes_ = None
-        self.pred_ = None
 
     def fit(self, X, y, known_dist=None) -> "OpfClassifier":
         """Train on ``X`` and binary labels ``y``.
@@ -80,77 +101,29 @@ class OpfClassifier:
         classes = np.unique(y)
         if classes.size != 2:
             raise ValueError("training requires samples from both classes")
-        n = X.shape[0]
         dist = pairwise_distances(X, known=known_dist)
+        edges = _minimum_spanning_edges(dist)
+        prototypes = np.array(
+            sorted({i for a, b in edges if y[a] != y[b] for i in (a, b)}), dtype=np.intp
+        )
+        cost = _tree_minimax_costs(dist, edges, prototypes)
 
-        protos = set()
-        for a, b in _minimum_spanning_edges(dist):
-            if y[a] != y[b]:
-                protos.add(a)
-                protos.add(b)
-        prototypes = np.array(sorted(protos), dtype=np.intp)
-
-        cost = np.full(n, np.inf)
-        assigned = np.full(n, -1, dtype=np.int64)
-        pred = np.full(n, -1, dtype=np.intp)
-        cost[prototypes] = 0.0
-        assigned[prototypes] = y[prototypes]
-        processed = np.zeros(n, dtype=bool)
-        order = np.empty(n, dtype=np.intp)
-        for step in range(n):
-            i = int(np.argmin(np.where(processed, np.inf, cost)))
-            processed[i] = True
-            order[step] = i
-            offers = np.maximum(cost[i], dist[i])
-            better = (offers < cost) & ~processed
-            cost[better] = offers[better]
-            assigned[better] = assigned[i]
-            pred[better] = i
-
-        for arr in (X, y, cost, assigned, order, prototypes, pred):
+        for arr in (X, y, cost, prototypes):
             arr.setflags(write=False)
         self.train_features_ = X
         self.train_labels_ = y
         self.cost_ = cost
-        self.assigned_label_ = assigned
-        self.order_ = order
+        self.assigned_label_ = y
         self.prototypes_ = prototypes
-        self.pred_ = pred
         return self
 
     def _check_fitted(self):
         if self.cost_ is None:
             raise ValueError("classifier is not fitted")
 
-    def _check_probe(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.train_features_.shape[1],):
-            raise ValueError(
-                f"probe has shape {x.shape}, expected ({self.train_features_.shape[1]},)"
-            )
-        if np.isnan(x).any():
-            raise ValueError("probe must not contain NaN")
-        return x
-
     def predict(self, x) -> int:
-        """Classify one sample, early-exiting once no later node can win.
-
-        Equal path costs resolve toward the lowest training-node index,
-        exactly as the full scan would.
-        """
-        self._check_fitted()
-        x = self._check_probe(x)
-        best_val = np.inf
-        best_idx = -1
-        for i in self.order_:
-            i = int(i)
-            if self.cost_[i] > best_val:
-                break
-            val = max(self.cost_[i], float(np.sqrt(((self.train_features_[i] - x) ** 2).sum())))
-            if val < best_val or (val == best_val and i < best_idx):
-                best_val = val
-                best_idx = i
-        return int(self.assigned_label_[best_idx])
+        """Classify one sample: :meth:`predict_batch` on a batch of one."""
+        return int(self.predict_batch(np.asarray(x, dtype=np.float64)[np.newaxis])[0])
 
     def predict_batch(self, X) -> np.ndarray:
         """Full-scan prediction for a batch; ties go to the lowest index."""
@@ -175,10 +148,7 @@ class OpfClassifier:
             "train_features": self.train_features_.tolist(),
             "train_labels": self.train_labels_.tolist(),
             "cost": self.cost_.tolist(),
-            "assigned_label": self.assigned_label_.tolist(),
-            "order": self.order_.tolist(),
             "prototypes": self.prototypes_.tolist(),
-            "pred": self.pred_.tolist(),
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -193,12 +163,10 @@ class OpfClassifier:
             "train_features_": np.array(payload["train_features"], dtype=np.float64),
             "train_labels_": np.array(payload["train_labels"], dtype=np.int64),
             "cost_": np.array(payload["cost"], dtype=np.float64),
-            "assigned_label_": np.array(payload["assigned_label"], dtype=np.int64),
-            "order_": np.array(payload["order"], dtype=np.intp),
             "prototypes_": np.array(payload["prototypes"], dtype=np.intp),
-            "pred_": np.array(payload["pred"], dtype=np.intp),
         }
         for name, arr in arrays.items():
             arr.setflags(write=False)
             setattr(model, name, arr)
+        model.assigned_label_ = model.train_labels_
         return model

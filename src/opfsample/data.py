@@ -174,9 +174,11 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
 
     ``label_column`` is either a header name or a (possibly negative) column
     index; the default is the last column. Cells equal to ``missing_token``
-    become NaN and stay that way until :func:`impute_mean` runs. Row order is
-    preserved. Raw label values are mapped onto {0, 1}: numerically when both
-    parse as numbers, lexicographically otherwise, smallest first.
+    become NaN and stay that way until :func:`impute_mean` runs; any other
+    cell that parses to a non-finite number (``inf``, ``nan``, ``1e999``)
+    raises :class:`DataError`. Row order is preserved. Raw label values are
+    mapped onto {0, 1}: numerically when both parse as numbers,
+    lexicographically otherwise, smallest first.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -234,7 +236,12 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
             if cell == missing_token:
                 features[r, col] = np.nan
             elif _parses_as_float(cell):
-                features[r, col] = float(cell)
+                value = float(cell)
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: non-finite cell {cell!r} at row {r + 1}, column {i + 1}"
+                    )
+                features[r, col] = value
             else:
                 raise DataError(f"{path}: unparseable cell {cell!r} at row {r + 1}, column {i + 1}")
             col += 1
@@ -296,14 +303,25 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Randomly partition ``ds`` into train/validation/test.
 
     Partition sizes are floor(n * ratio) with the remainder assigned to train.
-    The permutation is redrawn (bounded retries) until every partition holds
-    at least one sample of each class present in ``ds``; the draw sequence is
-    fully determined by ``spec.seed``.
+    A split that cannot succeed fails before any draw: a dataset without both
+    classes raises :class:`DataError`, and one where a partition would hold
+    fewer than 2 rows or a class has fewer than 3 rows raises
+    :class:`ExperimentError`. Otherwise the permutation is redrawn (bounded
+    retries) until every partition holds at least one sample of each class;
+    the draw sequence is fully determined by ``spec.seed``.
     """
     n = ds.n_samples
     sizes = [math.floor(n * r) for r in spec.ratios]
     sizes[0] += n - sum(sizes)
-    classes = np.unique(ds.labels)
+    counts = ds.class_counts
+    if min(counts) == 0:
+        raise DataError(f"dataset needs samples of both classes, got class counts {counts}")
+    if min(sizes) < 2 or min(counts) < 3:
+        raise ExperimentError(
+            f"no split can put every class in every partition: partitions of sizes "
+            f"{tuple(sizes)} need at least 2 rows each and class counts {counts} "
+            "at least 3 each"
+        )
     rng = np.random.default_rng(spec.seed)
     for _ in range(_SPLIT_RETRIES):
         perm = rng.permutation(n)
@@ -312,12 +330,12 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
             perm[sizes[0] : sizes[0] + sizes[1]],
             perm[sizes[0] + sizes[1] :],
         )
-        if all(np.isin(classes, ds.labels[p]).all() for p in parts):
+        if all(np.isin((0, 1), ds.labels[p]).all() for p in parts):
             return tuple(
                 Dataset(ds.features[p], ds.labels[p], ds.feature_names, ds.minority_label)
                 for p in parts
             )
     raise ExperimentError(
         f"split retry budget exhausted: a partition of sizes {tuple(sizes)} "
-        f"cannot hold every class (counts {ds.class_counts})"
+        f"cannot hold every class (counts {counts})"
     )

@@ -16,7 +16,6 @@ is fixed, so no preprocessing statistic or tuning decision can read it.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,14 +30,11 @@ from .errors import ExperimentError
 from .metrics import score, wilcoxon_signed_rank
 from .oversample import allocate, append_minority_rows, gaussians_from_forest, synthesize_plan
 
-logger = logging.getLogger(__name__)
-
 METHODS = ("none", "o2pf", "smote", "borderline_smote", "adasyn")
 DEFAULT_K_MAX_GRID = tuple(range(5, 101, 5))
 DEFAULT_KAPPA_GRID = tuple(range(5, 11))
 BALANCE_TO_MAJORITY = "balance_to_majority"
 RATIO_MODE = "ratio"
-_TRIAL_RESEEDS = 5
 
 
 def default_grid(method: str) -> tuple[int, ...]:
@@ -272,20 +268,6 @@ def evaluate_winner(
     return s, aug.class_counts
 
 
-def _split_with_reseed(ds: Dataset, cfg: ExperimentConfig, trial_seed: int, trial: int):
-    seed = trial_seed
-    for attempt in range(_TRIAL_RESEEDS):
-        try:
-            return split(ds, SplitSpec(cfg.ratios, seed))
-        except ExperimentError as exc:
-            logger.warning("trial %d (seed %d): %s", trial, seed, exc)
-            seed = derive_seed(trial_seed, attempt + 1, 0x5EED)
-    raise ExperimentError(
-        f"trial {trial}: no split with every class in every partition after "
-        f"{_TRIAL_RESEEDS} seeds"
-    )
-
-
 def run_trial(
     cfg: ExperimentConfig,
     trial_seed: int,
@@ -295,7 +277,7 @@ def run_trial(
 ) -> TrialReport:
     """Run the full pipeline once with the given split seed."""
     ds = cfg.load_dataset() if dataset is None else dataset
-    train_raw, val_raw, test_raw = _split_with_reseed(ds, cfg, trial_seed, trial)
+    train_raw, val_raw, test_raw = split(ds, SplitSpec(cfg.ratios, trial_seed))
     train, (val,) = impute_mean(train_raw, [val_raw])
     stats, train, (val,) = standardize(train, [val])
     augmenter = _TrialAugmenter(train, cfg, trial_seed)

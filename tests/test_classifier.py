@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,13 @@ def test_two_samples_one_per_class():
 
 def test_cost_map_matches_exhaustive_path_oracle():
     rng = np.random.default_rng(41)
-    for _ in range(20):
+    for trial in range(40):
         n = int(rng.integers(4, 9))
-        X = rng.normal(size=(n, 2))
+        if trial % 2:
+            # integer coordinates on a small grid: many exactly tied distances
+            X = rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+        else:
+            X = rng.normal(size=(n, 2))
         y = rng.integers(0, 2, size=n)
         if len(set(y)) < 2:
             y[0] = 1 - y[0]
@@ -33,8 +39,20 @@ def test_cost_map_matches_exhaustive_path_oracle():
         dist = pairwise(X)
         dfs = classifier_cost_dfs(dist, model.prototypes_)
         closure = classifier_cost_closure(dist, model.prototypes_)
-        np.testing.assert_allclose(dfs, closure, atol=0)
-        np.testing.assert_allclose(model.cost_, dfs, atol=1e-9)
+        np.testing.assert_array_equal(dfs, closure)
+        np.testing.assert_array_equal(model.cost_, dfs)
+        np.testing.assert_array_equal(model.assigned_label_, y)
+
+
+def test_tied_distances_keep_each_training_label():
+    # (0, 0) is reached at cost 1 both from the class-1 prototype (0, 1) and,
+    # through (1, 0), from the class-0 prototype (1, 1); a cost competition
+    # with index tie-breaks hands it label 1
+    X = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
+    y = np.array([0, 0, 0, 1])
+    model = OpfClassifier().fit(X, y)
+    np.testing.assert_array_equal(model.assigned_label_, y)
+    np.testing.assert_array_equal(model.predict_batch(X), y)
 
 
 def test_four_point_fixture_costs():
@@ -94,28 +112,18 @@ def test_predict_matches_full_scan_oracle():
 
 @settings(max_examples=40)
 @given(st.integers(0, 2**31 - 1), st.integers(2, 12), st.integers(1, 3))
-def test_early_exit_equals_full_scan(seed, n, m):
+def test_predict_is_a_batch_of_one(seed, n, m):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, m))
     y = rng.integers(0, 2, size=n)
     y[0] = 0
     y[-1] = 1
     model = OpfClassifier().fit(X, y)
-    probe = rng.normal(size=m) * 1.5
-    assert model.predict(probe) == predict_full_scan(
-        X, model.cost_, model.assigned_label_, probe
-    )
-
-
-def test_processing_order_nondecreasing_in_cost():
-    rng = np.random.default_rng(45)
-    X = rng.normal(size=(25, 2))
-    y = rng.integers(0, 2, size=25)
-    y[:2] = [0, 1]
-    model = OpfClassifier().fit(X, y)
-    costs_in_order = model.cost_[model.order_]
-    assert (np.diff(costs_in_order) >= 0).all()
-    assert sorted(model.order_) == list(range(25))
+    for probe in rng.normal(size=(5, m)) * 1.5:
+        assert model.predict(probe) == model.predict_batch([probe])[0]
+        assert model.predict(probe) == predict_full_scan(
+            X, model.cost_, model.assigned_label_, probe
+        )
 
 
 def test_prototypes_span_both_classes_and_frontier_fixture():
@@ -146,18 +154,25 @@ def test_serialization_round_trip():
     y[:2] = [0, 1]
     model = OpfClassifier().fit(X, y)
     blob = model.to_json()
+    payload = json.loads(blob)
+    assert payload["format_version"] == 2
+    assert sorted(payload) == ["cost", "format_version", "prototypes", "train_features", "train_labels"]
     clone = OpfClassifier.from_json(blob)
     probes = rng.normal(size=(20, 3))
     np.testing.assert_array_equal(model.predict_batch(probes), clone.predict_batch(probes))
     np.testing.assert_array_equal(model.cost_, clone.cost_)
+    np.testing.assert_array_equal(clone.assigned_label_, y)
     assert clone.to_json() == blob
 
 
 def test_serialization_rejects_unknown_version():
     model = OpfClassifier().fit(np.array([[0.0], [1.0]]), [0, 1])
-    blob = model.to_json().replace('"format_version": 1', '"format_version": 99')
-    with pytest.raises(ValueError, match="version"):
-        OpfClassifier.from_json(blob)
+    blob = model.to_json()
+    # version 1 also stored the labels, the processing order and predecessors
+    v1 = dict(json.loads(blob), format_version=1, assigned_label=[0, 1], order=[0, 1], pred=[-1, -1])
+    for bad in (blob.replace('"format_version": 2', '"format_version": 99'), json.dumps(v1)):
+        with pytest.raises(ValueError, match="version"):
+            OpfClassifier.from_json(bad)
 
 
 def test_fit_and_predict_errors():

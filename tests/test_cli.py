@@ -132,6 +132,23 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["inspect", "--data", str(bad)]) == 2
 
 
+def test_single_class_csv_is_a_data_error(tmp_path, capsys):
+    X = np.random.default_rng(83).normal(size=(30, 2))
+    path = write_dataset_csv(tmp_path / "one_label.csv", X, np.zeros(30, dtype=int))
+    assert main(["run", "--data", str(path), "--method", "none", "--trials", "1"]) == 2
+    assert "data error:" in capsys.readouterr().err
+
+
+def test_non_finite_cell_is_a_data_error(tmp_path, capsys):
+    rng = np.random.default_rng(84)
+    X = rng.normal(size=(30, 2))
+    X[4, 1] = np.inf
+    path = write_dataset_csv(tmp_path / "inf.csv", X, rng.integers(0, 2, size=30))
+    assert main(["run", "--data", str(path), "--method", "none", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "row 5, column 2" in err
+
+
 def test_experiment_failure_exits_3(tmp_path, capsys):
     # a single minority sample cannot reach all three partitions
     rng = np.random.default_rng(82)

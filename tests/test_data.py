@@ -123,6 +123,28 @@ def test_load_csv_errors(tmp_path):
         load_csv(no_col, label_column="missing")
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN", "1e999"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"1,2,0\n3,4,1\n5,{cell},0\n")
+    with pytest.raises(DataError, match=r"non-finite cell .* at row 3, column 2"):
+        load_csv(path)
+
+
+def test_load_csv_missing_token_may_spell_a_non_finite_number(tmp_path):
+    path = tmp_path / "nan_missing.csv"
+    path.write_text("1,2,0\n3,nan,1\n5,6,0\n")
+    ds = load_csv(path, missing_token="nan")
+    assert ds.n_missing == 1
+    assert np.isnan(ds.features[1, 1])
+
+
+def test_split_rejects_a_single_class_dataset():
+    ds = Dataset.from_arrays(np.arange(40.0).reshape(20, 2), np.zeros(20, dtype=int))
+    with pytest.raises(DataError, match="both classes"):
+        split(ds, SplitSpec(seed=1))
+
+
 def test_impute_mean_simple_column():
     train = Dataset.from_arrays(np.array([[1.0], [np.nan], [3.0]]), [0, 1, 0])
     out, _ = impute_mean(train)
@@ -246,8 +268,14 @@ def test_split_retry_exhaustion():
     labels = np.zeros(30, dtype=int)
     labels[0] = 1
     ds = Dataset.from_arrays(rng.normal(size=(30, 2)), labels)
-    with pytest.raises(ExperimentError, match="retry budget"):
+    with pytest.raises(ExperimentError, match="no split can"):
         split(ds, SplitSpec(seed=1))
+    # three minority rows can each reach a partition, but rarely do in 100 draws
+    labels = np.zeros(200, dtype=int)
+    labels[:3] = 1
+    ds = Dataset.from_arrays(np.arange(400.0).reshape(200, 2), labels)
+    with pytest.raises(ExperimentError, match="retry budget"):
+        split(ds, SplitSpec((0.98, 0.01, 0.01), seed=1))
 
 
 def test_split_spec_validation():

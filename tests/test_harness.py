@@ -333,18 +333,17 @@ def test_report_emitters(small_ds, tmp_path):
     assert ",," in none_csv  # chosen column empty for method none
 
 
-def test_reseed_on_unsplittable_draws(monkeypatch, small_ds):
+def test_unsplittable_dataset_fails_after_one_split_call(monkeypatch):
     calls = []
     real_split = harness.split
 
-    def flaky(ds, spec):
+    def counted(ds, spec):
         calls.append(spec.seed)
-        if len(calls) == 1:
-            raise harness.ExperimentError("synthetic failure")
         return real_split(ds, spec)
 
-    monkeypatch.setattr(harness, "split", flaky)
-    report = run_trial(_cfg(grid=(3,)), trial_seed=13, dataset=small_ds)
-    assert len(calls) == 2
-    assert calls[0] == 13 and calls[1] != 13
-    assert 0.0 <= report.recall <= 1.0
+    monkeypatch.setattr(harness, "split", counted)
+    # 12 rows: the validation and test partitions get one row each
+    ds = Dataset.from_arrays(np.arange(24.0).reshape(12, 2), [0] * 6 + [1] * 6)
+    with pytest.raises(harness.ExperimentError, match="no split can"):
+        run_trial(_cfg(grid=(3,)), trial_seed=13, dataset=ds)
+    assert calls == [13]
