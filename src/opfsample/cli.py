@@ -134,7 +134,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--balance-mode", dest="balance_mode",
                    help="'balance' (to majority count) or 'ratio:<float>' (default balance)")
     p.add_argument("--out-dir", dest="out_dir", help="directory for JSON/CSV reports")
-    p.add_argument("--format", choices=("text", "json", "csv"),
+    p.add_argument("--format", choices=tuple(_FORMATS["run"]),
                    help="stdout format (default text)")
 
 
@@ -155,7 +155,7 @@ def build_parser() -> _Parser:
 
     ins = sub.add_parser("inspect", help="summarize a dataset")
     _add_data_flags(ins)
-    ins.add_argument("--format", choices=("text", "json"), help="stdout format")
+    ins.add_argument("--format", choices=tuple(_FORMATS["inspect"]), help="stdout format")
     return parser
 
 
@@ -183,47 +183,71 @@ def _base_config(args, method: str) -> harness.ExperimentConfig:
         raise UsageError(str(exc)) from None
 
 
-def _cmd_run(args) -> int:
-    cfg = _base_config(args, args.method or "o2pf")
-    report = harness.run_experiment(cfg)
+def _inspect_text(info: dict) -> str:
+    return (
+        f"{info['path']}: {info['samples']} samples x {info['features']} features\n"
+        f"  labels: {info['count_label0']} zeros / {info['count_label1']} ones "
+        f"(minority = {info['minority_label']}, {info['minority_fraction']:.1%})\n"
+        f"  missing cells: {info['missing_cells']}\n"
+    )
+
+
+# command -> stdout format -> writer of the command's result. The harness
+# writers are looked up on the module at call time.
+_FORMATS = {
+    "run": {
+        "text": lambda r: harness.render_report_text(r),
+        "json": lambda r: harness.report_to_json(r),
+        "csv": lambda r: harness.trials_csv(r),
+    },
+    "compare": {
+        "text": lambda c: harness.render_comparison_text(c),
+        "json": lambda c: harness.comparison_to_json(c),
+        "csv": lambda c: harness.comparison_csv(c),
+    },
+    "inspect": {
+        "text": _inspect_text,
+        "json": lambda info: json.dumps(info, indent=2, sort_keys=True) + "\n",
+    },
+}
+
+
+def _stdout_writer(args):
+    """The writer for ``--format`` (flag or config file), looked up before any work."""
+    formats = _FORMATS[args.command]
     fmt = args.format or "text"
-    if fmt == "text":
-        sys.stdout.write(harness.render_report_text(report))
-    elif fmt == "json":
-        sys.stdout.write(harness.report_to_json(report))
-    else:
-        sys.stdout.write(harness.trials_csv(report))
+    if fmt not in formats:
+        raise UsageError(f"{args.command} has no format {fmt!r}; use one of {', '.join(formats)}")
+    return formats[fmt]
+
+
+def _cmd_run(args, write) -> int:
+    report = harness.run_experiment(_base_config(args, args.method or "o2pf"))
+    sys.stdout.write(write(report))
     if args.out_dir:
         harness.write_experiment_files(report, args.out_dir)
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, write) -> int:
     methods = [m.strip() for m in (args.method or ",".join(harness.METHODS)).split(",") if m.strip()]
     if not methods:
         raise UsageError("--method names no method")
-    configs = [_base_config(args, m) for m in methods]
-    cmp_report = harness.compare_methods(configs)
-    fmt = args.format or "text"
-    if fmt == "text":
-        sys.stdout.write(harness.render_comparison_text(cmp_report))
-    elif fmt == "json":
-        sys.stdout.write(harness.comparison_to_json(cmp_report))
-    else:
-        sys.stdout.write(harness.comparison_csv(cmp_report))
+    cmp_report = harness.compare_methods([_base_config(args, m) for m in methods])
+    sys.stdout.write(write(cmp_report))
     if args.out_dir:
         harness.write_comparison_files(cmp_report, args.out_dir)
     return EXIT_OK
 
 
-def _cmd_inspect(args) -> int:
+def _cmd_inspect(args, write) -> int:
     ds = load_csv(
         _require_data(args),
         args.label_col if args.label_col is not None else -1,
         args.missing_token or "?",
     )
     n0, n1 = ds.class_counts
-    info = {
+    sys.stdout.write(write({
         "path": args.data,
         "samples": ds.n_samples,
         "features": ds.n_features,
@@ -233,16 +257,7 @@ def _cmd_inspect(args) -> int:
         "minority_label": ds.minority_label,
         "minority_fraction": ds.minority_count / ds.n_samples,
         "missing_cells": ds.n_missing,
-    }
-    if (args.format or "text") == "json":
-        sys.stdout.write(json.dumps(info, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(
-            f"{info['path']}: {info['samples']} samples x {info['features']} features\n"
-            f"  labels: {n0} zeros / {n1} ones "
-            f"(minority = {ds.minority_label}, {info['minority_fraction']:.1%})\n"
-            f"  missing cells: {info['missing_cells']}\n"
-        )
+    }))
     return EXIT_OK
 
 
@@ -254,7 +269,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _stdout_writer(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -107,11 +107,10 @@ def _neighbor_order(dist: np.ndarray, rows: np.ndarray | None = None) -> np.ndar
 
 def _graph_from_prefix(dist: np.ndarray, order: np.ndarray, k: int) -> KnnGraph:
     n = dist.shape[0]
-    adj = [set(map(int, order[i, :k])) for i in range(n)]
-    for i in range(n):
-        for j in order[i, :k]:
-            adj[int(j)].add(i)
-    neighbors = tuple(np.array(sorted(s), dtype=np.intp) for s in adj)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n)[:, None], order[:, :k]] = True
+    adj |= adj.T
+    neighbors = tuple(np.flatnonzero(row) for row in adj)
     distances = tuple(dist[i, nb] for i, nb in enumerate(neighbors))
     d_max = max(float(d.max()) for d in distances)
     for d in distances:

@@ -11,13 +11,16 @@ applicable to the per-trial recall vectors.
 
 The test partition is handed to scoring only after the hyperparameter winner
 is fixed, so no preprocessing statistic or tuning decision can read it.
+
+Each method is one entry of ``_METHOD_TABLE``: its default grid and its
+sampler call. ``METHODS`` lists the table's keys in order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,19 +33,38 @@ from .errors import ExperimentError
 from .metrics import score, wilcoxon_signed_rank
 from .oversample import allocate, append_minority_rows, gaussians_from_forest, synthesize_plan
 
-METHODS = ("none", "o2pf", "smote", "borderline_smote", "adasyn")
 DEFAULT_K_MAX_GRID = tuple(range(5, 101, 5))
 DEFAULT_KAPPA_GRID = tuple(range(5, 11))
 BALANCE_TO_MAJORITY = "balance_to_majority"
 RATIO_MODE = "ratio"
 
-
-def default_grid(method: str) -> tuple[int, ...]:
-    if method == "none":
-        return ()
-    if method == "o2pf":
-        return DEFAULT_K_MAX_GRID
-    return DEFAULT_KAPPA_GRID
+# method -> (default grid, sampler). A sampler maps (augmenter, grid value,
+# seed) to synthetic minority rows; "none" synthesizes nothing. Samplers name
+# their functions in their bodies, so the module attribute is looked up on
+# every call and a function replaced on this module is the one that runs.
+_METHOD_TABLE = {
+    "none": ((), None),
+    "o2pf": (DEFAULT_K_MAX_GRID, lambda a, g, seed: a._o2pf_rows(g, seed)),
+    "smote": (
+        DEFAULT_KAPPA_GRID,
+        lambda a, g, seed: smote(a.minority_X, a.n_new, NeighborConfig(g, seed)),
+    ),
+    "borderline_smote": (
+        DEFAULT_KAPPA_GRID,
+        lambda a, g, seed: borderline_smote(
+            a.train.features, a.train.labels, a.n_new, NeighborConfig(g, seed),
+            minority_label=a.train.minority_label,
+        ),
+    ),
+    "adasyn": (
+        DEFAULT_KAPPA_GRID,
+        lambda a, g, seed: adasyn(
+            a.train.features, a.train.labels, NeighborConfig(g, seed), a.n_new,
+            minority_label=a.train.minority_label,
+        ),
+    ),
+}
+METHODS = tuple(_METHOD_TABLE)
 
 
 def derive_seed(*parts: int) -> int:
@@ -77,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base seed must be >= 0")
         if self.balance_mode not in (BALANCE_TO_MAJORITY, RATIO_MODE):
             raise ValueError(f"unknown balance mode {self.balance_mode!r}")
         if not (math.isfinite(self.ratio) and self.ratio >= 0):
@@ -92,7 +116,7 @@ class ExperimentConfig:
 
     @property
     def effective_grid(self) -> tuple[int, ...]:
-        return default_grid(self.method) if self.grid is None else self.grid
+        return _METHOD_TABLE[self.method][0] if self.grid is None else self.grid
 
     def load_dataset(self) -> Dataset:
         return load_csv(self.data_path, self.label_column, self.missing_token)
@@ -138,15 +162,16 @@ class ExperimentReport:
 
 
 class _TrialAugmenter:
-    """Builds the augmented training set for each grid value of one trial.
+    """Builds, trains and scores the augmented training set of each grid value.
 
-    For the OPF oversampler the per-k clustering sweep is computed once up to
-    the largest grid value; the winner for a grid value g is then the best k
+    :meth:`augment` calls the method's sampler from ``_METHOD_TABLE``. For the
+    OPF oversampler the per-k clustering sweep is computed once up to the
+    largest grid value; the winner for a grid value g is then the best k
     within 1..g, which matches running the full search per value.
 
     Every augmented set starts with the training rows in their original
-    order, so :meth:`fit` computes the training partition's distance matrix
-    once per trial, on first use, and each classifier fit extends it.
+    order, so :meth:`evaluate` computes the training partition's distance
+    matrix once per trial, on first use, and each classifier fit extends it.
     """
 
     def __init__(self, train: Dataset, cfg: ExperimentConfig, trial_seed: int):
@@ -188,84 +213,33 @@ class _TrialAugmenter:
     def augment(self, g: int | None) -> Dataset:
         if g is None or self.n_new == 0:
             return self.train
-        seed = derive_seed(self.trial_seed, g)
-        method = self.cfg.method
-        if method == "o2pf":
-            rows = self._o2pf_rows(g, seed)
-        elif method == "smote":
-            rows = smote(self.minority_X, self.n_new, NeighborConfig(g, seed))
-        elif method == "borderline_smote":
-            rows = borderline_smote(
-                self.train.features,
-                self.train.labels,
-                self.n_new,
-                NeighborConfig(g, seed),
-                minority_label=self.train.minority_label,
-            )
-        elif method == "adasyn":
-            rows = adasyn(
-                self.train.features,
-                self.train.labels,
-                NeighborConfig(g, seed),
-                self.n_new,
-                minority_label=self.train.minority_label,
-            )
-        else:
-            return self.train
-        return append_minority_rows(self.train, rows)
+        sample = _METHOD_TABLE[self.cfg.method][1]
+        return append_minority_rows(self.train, sample(self, g, derive_seed(self.trial_seed, g)))
 
-    def fit(self, aug: Dataset) -> OpfClassifier:
-        """Train the classifier on a set that :meth:`augment` returned."""
+    def evaluate(self, g: int | None, part: Dataset):
+        """Train on the set augmented with ``g`` and score it on ``part``.
+
+        Returns the scores and the augmented set's class counts.
+        """
+        aug = self.augment(g)
         if self._train_dist is None:
             self._train_dist = pairwise_distances(self.train.features)
-        return OpfClassifier().fit(aug.features, aug.labels, known_dist=self._train_dist)
+        model = OpfClassifier().fit(aug.features, aug.labels, known_dist=self._train_dist)
+        s = score(part.labels, model.predict_batch(part.features), part.minority_label)
+        return s, aug.class_counts
 
 
 def select_hyperparameter(
-    train: Dataset,
-    val: Dataset,
-    cfg: ExperimentConfig,
-    trial_seed: int,
-    augmenter: _TrialAugmenter | None = None,
+    augmenter: _TrialAugmenter, val: Dataset
 ) -> tuple[int | None, tuple[tuple[int, float], ...]]:
     """Pick the grid value maximizing validation minority recall (ties go low).
 
     Returns the winner plus the full (grid value, validation recall) trace.
-    Method "none" has no grid and returns (None, ()).
+    Method "none" has no grid and returns (None, ()). The grid ascends and
+    ``max`` keeps the first of equal recalls.
     """
-    if augmenter is None:
-        augmenter = _TrialAugmenter(train, cfg, trial_seed)
-    grid = augmenter.grid()
-    if not grid:
-        return None, ()
-    trace = []
-    best_g = None
-    best_recall = -1.0
-    for g in grid:
-        model = augmenter.fit(augmenter.augment(g))
-        s = score(val.labels, model.predict_batch(val.features), val.minority_label)
-        trace.append((g, s.recall))
-        if s.recall > best_recall:
-            best_recall = s.recall
-            best_g = g
-    return best_g, tuple(trace)
-
-
-def evaluate_winner(
-    train: Dataset,
-    test: Dataset,
-    cfg: ExperimentConfig,
-    chosen: int | None,
-    trial_seed: int,
-    augmenter: _TrialAugmenter | None = None,
-):
-    """Re-augment with the winning value, train, and score the test partition."""
-    if augmenter is None:
-        augmenter = _TrialAugmenter(train, cfg, trial_seed)
-    aug = augmenter.augment(chosen)
-    model = augmenter.fit(aug)
-    s = score(test.labels, model.predict_batch(test.features), test.minority_label)
-    return s, aug.class_counts
+    trace = tuple((g, augmenter.evaluate(g, val)[0].recall) for g in augmenter.grid())
+    return max(trace, key=lambda entry: entry[1], default=(None,))[0], trace
 
 
 def run_trial(
@@ -281,11 +255,11 @@ def run_trial(
     train, (val,) = impute_mean(train_raw, [val_raw])
     stats, train, (val,) = standardize(train, [val])
     augmenter = _TrialAugmenter(train, cfg, trial_seed)
-    chosen, trace = select_hyperparameter(train, val, cfg, trial_seed, augmenter)
+    chosen, trace = select_hyperparameter(augmenter, val)
     # the test partition is first touched here, after the winner is fixed
     _, (test,) = impute_mean(train_raw, [test_raw])
     test = test.with_features(stats.apply(test.features))
-    scores, counts = evaluate_winner(train, test, cfg, chosen, trial_seed, augmenter)
+    scores, counts = augmenter.evaluate(chosen, test)
     return TrialReport(
         trial=trial,
         seed=trial_seed,
@@ -391,24 +365,9 @@ def compare_methods(configs, dataset: Dataset | None = None) -> ComparisonReport
 # same config yields byte-identical output (reports carry no timestamps).
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "data_path": cfg.data_path,
-        "label_column": cfg.label_column,
-        "missing_token": cfg.missing_token,
-        "method": cfg.method,
-        "grid": list(cfg.effective_grid),
-        "ratios": list(cfg.ratios),
-        "trials": cfg.trials,
-        "base_seed": cfg.base_seed,
-        "balance_mode": cfg.balance_mode,
-        "ratio": cfg.ratio,
-    }
-
-
 def report_to_dict(report: ExperimentReport) -> dict:
     return {
-        "config": _config_dict(report.config),
+        "config": {**asdict(report.config), "grid": list(report.config.effective_grid)},
         "summary": report.summary(),
         "trials": [
             {
@@ -527,33 +486,31 @@ def render_comparison_text(cmp: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_experiment_files(report: ExperimentReport, out_dir) -> list[Path]:
+def _write_files(out_dir, files) -> list[Path]:
+    """Write each (file name, text) pair under ``out_dir``, in order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    paths = [out / name for name, _ in files]
+    for path, (_, text) in zip(paths, files):
+        path.write_text(text, encoding="utf-8")
+    return paths
+
+
+def _experiment_files(report: ExperimentReport) -> list[tuple[str, str]]:
     method = report.config.method
-    paths = []
-    for name, text in (
+    return [
         (f"{method}_report.json", report_to_json(report)),
         (f"{method}_trials.csv", trials_csv(report)),
         (f"{method}_validation_trace.csv", validation_trace_csv(report)),
-    ):
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        paths.append(path)
-    return paths
+    ]
+
+
+def write_experiment_files(report: ExperimentReport, out_dir) -> list[Path]:
+    return _write_files(out_dir, _experiment_files(report))
 
 
 def write_comparison_files(cmp: ComparisonReport, out_dir) -> list[Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, text in (
-        ("comparison.json", comparison_to_json(cmp)),
-        ("comparison.csv", comparison_csv(cmp)),
-    ):
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        paths.append(path)
+    files = [("comparison.json", comparison_to_json(cmp)), ("comparison.csv", comparison_csv(cmp))]
     for report in cmp.reports:
-        paths.extend(write_experiment_files(report, out))
-    return paths
+        files += _experiment_files(report)
+    return _write_files(out_dir, files)

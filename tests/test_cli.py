@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from opfsample.cli import main, parse_balance_mode, parse_grid
 from opfsample.errors import UsageError
+from opfsample.harness import METHODS
 
 from helpers import blob_dataset, write_dataset_csv
 
@@ -116,6 +120,7 @@ def test_usage_errors_exit_1(csv_path, capsys):
         ["run", "--balance-mode", "ratio:nan"],
         ["compare", "--balance-mode", "ratio:inf"],
         ["compare", "--method", ","],
+        ["run", "--seed", "-1"],
     ],
 )
 def test_invalid_values_exit_1(csv_path, capsys, argv):
@@ -180,7 +185,7 @@ def test_config_file_with_flag_override(csv_path, tmp_path, capsys):
     assert payload["config"]["base_seed"] == 11
 
 
-def test_config_file_errors(tmp_path, capsys):
+def test_config_file_errors(csv_path, tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["run", "--config", str(missing)]) == 1
     bad = tmp_path / "bad.cfg"
@@ -189,6 +194,14 @@ def test_config_file_errors(tmp_path, capsys):
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("frobnicate = 3\n")
     assert main(["run", "--config", str(unknown)]) == 1
+    # file values pass the same checks as flags, before any work is done
+    for command, line in (("run", "format = xml"), ("inspect", "format = csv"), ("run", "seed = -1")):
+        capsys.readouterr()
+        checked = tmp_path / "checked.cfg"
+        checked.write_text(f"data = {csv_path}\n{line}\n")
+        assert main([command, "--config", str(checked)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):
@@ -204,3 +217,51 @@ def test_module_entry_point(csv_path):
     )
     assert proc.returncode == 0
     assert "70 samples" in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    X, y = blob_dataset(np.random.default_rng(85), n_maj=50, n_min=20, m=3, sep=2.5)
+    write_dataset_csv(d / "toy.csv", X, y)
+    return d
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag, str(v)]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(("run", "compare", "inspect")))
+    flags = [_optional("--format", ("text", "json", "csv"))]
+    if command != "inspect":
+        methods = METHODS if command == "run" else ("none,smote", "o2pf,adasyn", ",")
+        flags = [
+            _optional("--method", methods),
+            _optional("--trials", range(-1, 3)),
+            _optional("--seed", range(-2, 3)),
+            _optional("--grid", ("3", "0", ",", "5:1", "2:4")),
+            _optional("--balance-mode", ("balance", "ratio:0.5", "ratio:-1", "ratio:nan", "ratio:x")),
+            _optional("--out-dir", ("out",)),
+            *flags,
+        ]
+    argv = [command]
+    for flag in flags:
+        argv += draw(flag)
+    return argv, draw(st.sampled_from((None, "text", "json", "csv", "xml")))
+
+
+@given(case=_argv())
+def test_any_argv_ends_in_a_documented_exit_code(argv_dir, case):
+    argv, config_format = case
+    # a config file sets the data path and, on some draws, the stdout format
+    cfg = argv_dir / "exp.cfg"
+    lines = [f"data = {argv_dir / 'toy.csv'}"]
+    if config_format is not None:
+        lines.append(f"format = {config_format}")
+    cfg.write_text("\n".join(lines) + "\n")
+    argv = [argv_dir / "out" if a == "out" else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*map(str, argv), "--config", str(cfg)])
+    assert code in (0, 1, 2, 3)

@@ -43,6 +43,8 @@ def test_config_validation():
         ExperimentConfig(method="bogus")
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(base_seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(method="none", grid=(3,))
     with pytest.raises(ValueError):
