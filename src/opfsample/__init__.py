@@ -48,7 +48,6 @@ from .oversample import (
     OversamplePlan,
     allocate,
     fit_minority_clusters,
-    oversample,
     oversample_to_count,
     synthesize,
 )
@@ -67,6 +66,6 @@ __all__ = [
     "compare_methods", "run_experiment", "run_trial",
     "Confusion", "Scores", "WilcoxonResult", "score", "wilcoxon_signed_rank",
     "ClusterGaussian", "OversamplePlan",
-    "allocate", "fit_minority_clusters", "oversample", "oversample_to_count", "synthesize",
+    "allocate", "fit_minority_clusters", "oversample_to_count", "synthesize",
     "__version__",
 ]

@@ -6,9 +6,13 @@ Subcommands:
 - ``compare``  several methods on shared seeds, with signed-rank comparison
 - ``inspect``  dataset summary (shape, class balance, missing cells)
 
-Flags may also come from a flat key-value config file (``--config``); values
-given on the command line override the file. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 experiment failure.
+Flags may also come from a flat key-value config file (``--config``). Its keys
+are the subcommand's own long flags; each ``key = value`` line is parsed as
+``--key=value`` ahead of the command line, so the same parser converts and
+checks it, and a flag given on the command line overrides it. Options left
+unset are not passed on, so every default lives in ``ExperimentConfig`` and
+``load_csv``. Exit codes: 0 success, 1 usage error, 2 data error,
+3 experiment failure.
 """
 
 from __future__ import annotations
@@ -89,32 +93,7 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_KEYS = {
-    "data": str,
-    "label_col": parse_label_column,
-    "missing_token": str,
-    "method": str,
-    "grid": parse_grid,
-    "trials": int,
-    "seed": int,
-    "balance_mode": str,
-    "out_dir": str,
-    "format": str,
-}
-
-
-def _apply_config_file(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    values = read_config_file(args.config)
-    for key, raw in values.items():
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            try:
-                setattr(args, key, _CONFIG_KEYS[key](raw))
-            except ValueError:
-                raise UsageError(f"bad value for config key {key!r}: {raw!r}") from None
+_DEFAULT = harness.ExperimentConfig()
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -123,18 +102,20 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-col", dest="label_col", type=parse_label_column,
                    help="label column name or index (default: last column)")
     p.add_argument("--missing-token", dest="missing_token",
-                   help="cell text marking a missing value (default '?')")
+                   help=f"cell text marking a missing value (default {_DEFAULT.missing_token!r})")
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=parse_grid,
                    help="hyperparameter grid, 'lo:hi:step' or comma list (default per method)")
-    p.add_argument("--trials", type=int, help="number of seeded trials (default 20)")
-    p.add_argument("--seed", type=int, help="base seed; trial t uses seed base+t (default 0)")
-    p.add_argument("--balance-mode", dest="balance_mode",
+    p.add_argument("--trials", type=int,
+                   help=f"number of seeded trials (default {_DEFAULT.trials})")
+    p.add_argument("--seed", type=int,
+                   help=f"base seed; trial t uses seed base+t (default {_DEFAULT.base_seed})")
+    p.add_argument("--balance-mode", dest="balance_mode", type=parse_balance_mode,
                    help="'balance' (to majority count) or 'ratio:<float>' (default balance)")
     p.add_argument("--out-dir", dest="out_dir", help="directory for JSON/CSV reports")
-    p.add_argument("--format", choices=tuple(_FORMATS["run"]),
+    p.add_argument("--format", choices=tuple(_FORMATS["run"]), default="text",
                    help="stdout format (default text)")
 
 
@@ -155,30 +136,35 @@ def build_parser() -> _Parser:
 
     ins = sub.add_parser("inspect", help="summarize a dataset")
     _add_data_flags(ins)
-    ins.add_argument("--format", choices=tuple(_FORMATS["inspect"]), help="stdout format")
+    ins.add_argument("--format", choices=tuple(_FORMATS["inspect"]), default="text",
+                     help="stdout format (default text)")
     return parser
 
 
 def _require_data(args) -> str:
-    if not getattr(args, "data", None):
+    if not args.data:
         raise UsageError("--data is required (flag or config file)")
     return args.data
 
 
-def _base_config(args, method: str) -> harness.ExperimentConfig:
-    mode, ratio = parse_balance_mode(args.balance_mode or "balance")
+def _given(**values) -> dict:
+    """The values that were set; the callee's own defaults fill the rest."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _base_config(args, method: str | None) -> harness.ExperimentConfig:
+    mode, ratio = args.balance_mode or (None, None)
     try:
-        return harness.ExperimentConfig(
-            data_path=_require_data(args),
-            label_column=args.label_col if args.label_col is not None else -1,
-            missing_token=args.missing_token or "?",
+        return harness.ExperimentConfig(data_path=_require_data(args), **_given(
+            label_column=args.label_col,
+            missing_token=args.missing_token,
             method=method,
             grid=args.grid if method != "none" else None,
-            trials=args.trials if args.trials is not None else 20,
-            base_seed=args.seed if args.seed is not None else 0,
+            trials=args.trials,
+            base_seed=args.seed,
             balance_mode=mode,
             ratio=ratio,
-        )
+        ))
     except ValueError as exc:  # out-of-range values, e.g. --trials 0 or --grid 0
         raise UsageError(str(exc)) from None
 
@@ -212,17 +198,8 @@ _FORMATS = {
 }
 
 
-def _stdout_writer(args):
-    """The writer for ``--format`` (flag or config file), looked up before any work."""
-    formats = _FORMATS[args.command]
-    fmt = args.format or "text"
-    if fmt not in formats:
-        raise UsageError(f"{args.command} has no format {fmt!r}; use one of {', '.join(formats)}")
-    return formats[fmt]
-
-
 def _cmd_run(args, write) -> int:
-    report = harness.run_experiment(_base_config(args, args.method or "o2pf"))
+    report = harness.run_experiment(_base_config(args, args.method))
     sys.stdout.write(write(report))
     if args.out_dir:
         harness.write_experiment_files(report, args.out_dir)
@@ -241,11 +218,8 @@ def _cmd_compare(args, write) -> int:
 
 
 def _cmd_inspect(args, write) -> int:
-    ds = load_csv(
-        _require_data(args),
-        args.label_col if args.label_col is not None else -1,
-        args.missing_token or "?",
-    )
+    given = _given(label_column=args.label_col, missing_token=args.missing_token)
+    ds = load_csv(_require_data(args), **given)
     n0, n1 = ds.class_counts
     sys.stdout.write(write({
         "path": args.data,
@@ -266,10 +240,17 @@ _COMMANDS = {"run": _cmd_run, "compare": _cmd_compare, "inspect": _cmd_inspect}
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
-        return _COMMANDS[args.command](args, _stdout_writer(args))
+        if args.config:
+            values = read_config_file(args.config)
+            if "config" in values:
+                raise UsageError(f"{args.config}: a config file cannot name another one")
+            # file values go ahead of the command line's flags, which win
+            file_flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+            args = parser.parse_args([args.command, *file_flags, *argv[1:]])
+        return _COMMANDS[args.command](args, _FORMATS[args.command][args.format])
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -130,12 +130,11 @@ def build_knn_graph(X: np.ndarray, k: int) -> KnnGraph:
     return _graph_from_prefix(dist, _neighbor_order(dist), k)
 
 
-def compute_density(g: KnnGraph, squared_exponent: bool = False) -> DensityMap:
+def compute_density(g: KnnGraph) -> DensityMap:
     """Gaussian kernel density over each node's (symmetrized) neighborhood.
 
-    The kernel width is sigma = d_max / 3 and the normalizer uses the nominal
-    k. By default the exponent is -d / (2 sigma^2); ``squared_exponent``
-    switches to the classical -d^2 / (2 sigma^2) form.
+    The kernel width is sigma = d_max / 3, the normalizer uses the nominal k
+    and the exponent is -d / (2 sigma^2).
 
     When every pairwise distance is zero the density is uniform by
     construction and a single cluster results downstream.
@@ -150,9 +149,7 @@ def compute_density(g: KnnGraph, squared_exponent: bool = False) -> DensityMap:
         denom = 2.0 * sigma * sigma
         rho = np.empty(n, dtype=np.float64)
         for i in range(n):
-            d = g.distances[i]
-            e = d * d if squared_exponent else d
-            rho[i] = coef * np.exp(-e / denom).sum()
+            rho[i] = coef * np.exp(-g.distances[i] / denom).sum()
 
     delta = math.inf
     for i in range(n):
@@ -244,9 +241,7 @@ def normalized_cut(g: KnnGraph, forest: ClusterForest) -> float:
     return float(terms.sum())
 
 
-def sweep_normalized_cuts(
-    X: np.ndarray, k_max: int, squared_exponent: bool = False
-) -> tuple[np.ndarray, list[ClusterForest]]:
+def sweep_normalized_cuts(X: np.ndarray, k_max: int) -> tuple[np.ndarray, list[ClusterForest]]:
     """Cluster once per k in 1..k_max and report each normalized cut.
 
     The pairwise distances and the per-node neighbor ordering are computed
@@ -265,16 +260,14 @@ def sweep_normalized_cuts(
     forests: list[ClusterForest] = []
     for k in range(1, k_max + 1):
         g = _graph_from_prefix(dist, order, k)
-        forest = cluster_ift(g, compute_density(g, squared_exponent))
+        forest = cluster_ift(g, compute_density(g))
         cuts[k - 1] = normalized_cut(g, forest)
         forests.append(forest)
     return cuts, forests
 
 
-def find_best_k(
-    X: np.ndarray, k_max: int, squared_exponent: bool = False
-) -> tuple[int, ClusterForest]:
+def find_best_k(X: np.ndarray, k_max: int) -> tuple[int, ClusterForest]:
     """Pick the k in 1..k_max minimizing the normalized cut (ties go low)."""
-    cuts, forests = sweep_normalized_cuts(X, k_max, squared_exponent)
+    cuts, forests = sweep_normalized_cuts(X, k_max)
     best = int(np.argmin(cuts))
     return best + 1, forests[best]

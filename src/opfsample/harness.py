@@ -37,6 +37,9 @@ DEFAULT_K_MAX_GRID = tuple(range(5, 101, 5))
 DEFAULT_KAPPA_GRID = tuple(range(5, 11))
 BALANCE_TO_MAJORITY = "balance_to_majority"
 RATIO_MODE = "ratio"
+# Largest augmented training set a trial may ask for. The classifier keeps its
+# full (rows x rows) float64 distance matrix, which at 20,000 rows is 3.2 GB.
+MAX_TRAINING_ROWS = 20_000
 
 # method -> (default grid, sampler). A sampler maps (augmenter, grid value,
 # seed) to synthetic minority rows; "none" synthesizes nothing. Samplers name
@@ -182,9 +185,18 @@ class _TrialAugmenter:
         n_min = counts[train.minority_label]
         n_maj = counts[train.majority_label]
         if cfg.balance_mode == BALANCE_TO_MAJORITY:
-            self.n_new = max(0, n_maj - n_min)
+            n_new = max(0, n_maj - n_min)
         else:
-            self.n_new = int(round(cfg.ratio * n_min))
+            n_new = cfg.ratio * n_min
+            if math.isfinite(n_new):  # past the float range it is over the cap anyway
+                n_new = round(n_new)
+        rows = train.n_samples + n_new
+        if cfg.method != "none" and rows > MAX_TRAINING_ROWS:
+            raise ExperimentError(
+                f"cannot oversample: the augmented training set would hold {rows:.6g} rows, "
+                f"more than the cap of {MAX_TRAINING_ROWS}"
+            )
+        self.n_new = n_new
         self.minority_X = train.features[train.labels == train.minority_label]
         if self.n_new > 0 and cfg.method != "none" and self.minority_X.shape[0] < 2:
             raise ExperimentError(

@@ -183,14 +183,3 @@ def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Datas
     plan = allocate(clusters, n_new)
     return append_minority_rows(ds, synthesize_plan(clusters, plan, seed))
 
-
-def oversample(ds: Dataset, ratio: float, k_max: int, seed: int) -> Dataset:
-    """Append round(ratio * minority count) synthetic minority samples.
-
-    ``ratio=1.0`` doubles the minority class; use :func:`oversample_to_count`
-    with ``n_new = majority - minority`` to balance the classes exactly.
-    """
-    if ratio < 0:
-        raise ValueError("ratio must be nonnegative")
-    n_min = ds.class_counts[ds.minority_label]
-    return oversample_to_count(ds, int(round(ratio * n_min)), k_max, seed)

@@ -28,6 +28,24 @@ def test_smote_zero_request_empty():
     assert out.shape == (0, 2)
 
 
+def test_zero_request_still_checks_inputs():
+    # every sampler validates before it looks at n_new
+    X = np.array([[0.0], [1.0], [2.0], [9.0]])
+    y = np.array([1, 1, 0, 0])
+    bad = NeighborConfig(kappa=2, seed=1)  # two minority samples allow kappa = 1 only
+    for call in (
+        lambda: smote(X[:2], 0, bad),
+        lambda: borderline_smote(X, y, 0, bad, minority_label=1),
+        lambda: adasyn(X, y, bad, 0, minority_label=1),
+        lambda: adasyn_allocation(X, y, NeighborConfig(kappa=1), -1, minority_label=1),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    ok = NeighborConfig(kappa=1, seed=1)
+    assert borderline_smote(X, y, 0, ok, minority_label=1).shape == (0, 1)
+    assert adasyn(X, y, ok, 0, minority_label=1).shape == (0, 1)
+
+
 def test_smote_containment_2d_fixture():
     rng = np.random.default_rng(61)
     X = rng.normal(size=(9, 2))

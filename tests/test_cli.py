@@ -130,6 +130,35 @@ def test_invalid_values_exit_1(csv_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("ratio", ["1e300", "1e308"])
+def test_huge_ratio_exits_3(csv_path, capsys, ratio):
+    argv = ["run", "--data", str(csv_path), "--method", "smote", "--balance-mode", f"ratio:{ratio}"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("experiment failed: ") and "rows, more than the cap of 20000" in err
+
+
+@pytest.fixture
+def empty_cell_csv(tmp_path):
+    X, y = blob_dataset(np.random.default_rng(87), n_maj=50, n_min=20, m=3, sep=2.5)
+    return write_dataset_csv(tmp_path / "gap.csv", X, y, missing_cells=[(3, 1)], missing_token="")
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_empty_missing_token_marks_empty_cells(empty_cell_csv, tmp_path, capsys, via_config):
+    if via_config:
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text(f"data = {empty_cell_csv}\nmissing_token =\n")
+        given = ["--config", str(cfg)]
+    else:
+        given = ["--data", str(empty_cell_csv), "--missing-token", ""]
+    assert main(["inspect", *given, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["missing_cells"] == 1
+    assert main(["run", *given, "--method", "none", "--trials", "1"]) == 0
+    # with the default token the empty cell does not parse
+    assert main(["inspect", "--data", str(empty_cell_csv)]) == 2
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["inspect", "--data", str(tmp_path / "absent.csv")]) == 2
     bad = tmp_path / "bad.csv"
@@ -195,7 +224,11 @@ def test_config_file_errors(csv_path, tmp_path, capsys):
     unknown.write_text("frobnicate = 3\n")
     assert main(["run", "--config", str(unknown)]) == 1
     # file values pass the same checks as flags, before any work is done
-    for command, line in (("run", "format = xml"), ("inspect", "format = csv"), ("run", "seed = -1")):
+    # keys are the subcommand's own flags: inspect has no --trials
+    for command, line in (
+        ("run", "format = xml"), ("inspect", "format = csv"), ("run", "seed = -1"),
+        ("inspect", "trials = 2"), ("run", "config = other.cfg"),
+    ):
         capsys.readouterr()
         checked = tmp_path / "checked.cfg"
         checked.write_text(f"data = {csv_path}\n{line}\n")

@@ -135,21 +135,6 @@ def test_density_matches_direct_evaluation():
         assert dm.rho[i] == pytest.approx(expected, rel=1e-12)
 
 
-def test_density_squared_exponent_variant():
-    rng = np.random.default_rng(25)
-    X = rng.normal(size=(6, 2))
-    g = build_knn_graph(X, 2)
-    dm = compute_density(g, squared_exponent=True)
-    sigma = g.d_max / 3.0
-    i = 3
-    total = sum(
-        math.exp(-math.dist(X[i], X[j]) ** 2 / (2.0 * sigma * sigma))
-        for j in g.neighbors[i]
-    )
-    expected = total / (2 * math.sqrt(2.0 * math.pi * sigma * sigma))
-    assert dm.rho[i] == pytest.approx(expected, rel=1e-12)
-
-
 def test_density_delta_is_minimal_adjacent_gap():
     rng = np.random.default_rng(26)
     X = rng.normal(size=(8, 2))
@@ -324,17 +309,6 @@ def test_find_best_k_is_argmin_of_sweep():
     assert all(cuts[k_star - 1] <= c for c in cuts)
     # ties (if any) resolve toward the smaller k
     assert (cuts[: k_star - 1] > cuts[k_star - 1]).all()
-
-
-def test_sweep_supports_the_squared_exponent_variant():
-    rng = np.random.default_rng(35)
-    X = rng.normal(size=(12, 2))
-    cuts_sq, forests_sq = sweep_normalized_cuts(X, 4, squared_exponent=True)
-    for k in range(1, 5):
-        g = build_knn_graph(X, k)
-        ref = cluster_ift(g, compute_density(g, squared_exponent=True))
-        np.testing.assert_allclose(forests_sq[k - 1].cost, ref.cost, atol=0)
-        assert cuts_sq[k - 1] == normalized_cut(g, ref)
 
 
 def test_find_best_k_range_errors():

@@ -5,6 +5,7 @@ import pytest
 
 from opfsample import classifier, harness
 from opfsample.data import Dataset, split as data_split
+from opfsample.errors import ExperimentError
 from opfsample.harness import (
     ExperimentConfig,
     _TrialAugmenter,
@@ -112,12 +113,44 @@ def test_balance_postcondition(small_ds):
 
 
 def test_ratio_mode_counts(small_ds):
+    train, _, _ = data_split(small_ds, harness.SplitSpec(_cfg().ratios, 2))
+    n_min = train.class_counts[train.minority_label]
+    # ratio 0 leaves the training set unchanged; ratio 1 doubles the minority
+    cfg = _cfg(trials=1, balance_mode="ratio", ratio=0.0)
+    assert run_trial(cfg, trial_seed=2, dataset=small_ds).augmented_counts == train.class_counts
     cfg = _cfg(trials=1, balance_mode="ratio", ratio=1.0)
+    counts = run_trial(cfg, trial_seed=2, dataset=small_ds).augmented_counts
+    assert counts[small_ds.minority_label] == 2 * n_min
+
+
+@pytest.mark.parametrize("method", ["o2pf", "smote"])
+def test_training_rows_are_capped_before_any_work(small_ds, monkeypatch, method):
+    train, _, _ = data_split(small_ds, harness.SplitSpec(_cfg().ratios, 2))
+    n_train, n_min = train.n_samples, train.class_counts[train.minority_label]
+    cap = harness.MAX_TRAINING_ROWS
+    at_cap = _TrialAugmenter(train, _cfg(method=method, balance_mode="ratio",
+                                         ratio=(cap - n_train) / n_min), 2)
+    assert n_train + at_cap.n_new == cap
+    ratio = (cap + 1 - n_train) / n_min
+    assert n_train + round(ratio * n_min) == cap + 1
+    with pytest.raises(ExperimentError, match=f"hold {cap + 1} rows"):
+        _TrialAugmenter(train, _cfg(method=method, balance_mode="ratio", ratio=ratio), 2)
+
+    def no_distances(*args, **kwargs):
+        raise AssertionError("distances computed before the row cap was checked")
+
+    monkeypatch.setattr(harness, "pairwise_distances", no_distances)
+    for ratio in (1e300, 1e308):  # 1e308 * n_min is past the float range
+        cfg = _cfg(method=method, balance_mode="ratio", ratio=ratio)
+        with pytest.raises(ExperimentError, match="rows, more than the cap"):
+            run_trial(cfg, trial_seed=2, dataset=small_ds)
+
+
+def test_row_cap_ignores_method_none(small_ds):
+    cfg = _cfg(method="none", grid=None, trials=1, balance_mode="ratio", ratio=1e308)
     report = run_trial(cfg, trial_seed=2, dataset=small_ds)
     train, _, _ = data_split(small_ds, harness.SplitSpec(cfg.ratios, 2))
-    n_min = train.class_counts[train.minority_label]
-    counts = report.augmented_counts
-    assert counts[small_ds.minority_label] == 2 * n_min  # doubled
+    assert report.augmented_counts == train.class_counts
 
 
 def test_grid_clamped_to_minority_count(small_ds):

@@ -11,7 +11,6 @@ from opfsample.oversample import (
     fit_minority_clusters,
     gaussians_from_forest,
     largest_remainder,
-    oversample,
     oversample_to_count,
     synthesize,
 )
@@ -145,19 +144,6 @@ def test_balance_mode_counts():
     out = oversample_to_count(ds, 151 - 47, k_max=10, seed=1)
     assert out.class_counts == (151, 151)
     assert out.n_samples == ds.n_samples + 104
-
-
-def test_ratio_zero_identity():
-    ds = _imbalanced_dataset(np.random.default_rng(54))
-    out = oversample(ds, 0.0, k_max=5, seed=2)
-    assert out is ds
-
-
-def test_ratio_one_doubles_minority():
-    ds = _imbalanced_dataset(np.random.default_rng(55), n_maj=40, n_min=20)
-    out = oversample(ds, 1.0, k_max=5, seed=3)
-    counts = out.class_counts
-    assert counts[out.minority_label] == 40
 
 
 def test_original_rows_preserved_and_labels_minority():
