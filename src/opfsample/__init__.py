@@ -4,10 +4,11 @@ The package has three layers:
 
 - algorithms: :mod:`~opfsample.cluster` (unsupervised optimum-path forest),
   :mod:`~opfsample.classifier` (supervised variant),
-  :mod:`~opfsample.oversample` (cluster-guided Gaussian oversampling) and
+  :mod:`~opfsample.oversample` (the per-cluster Gaussian pieces of O²PF) and
   :mod:`~opfsample.baselines` (SMOTE, Borderline-SMOTE, ADASYN);
 - data plumbing: :mod:`~opfsample.data` and :mod:`~opfsample.metrics`;
-- the benchmark harness and CLI: :mod:`~opfsample.harness`,
+- the benchmark harness and CLI: :mod:`~opfsample.harness` (which also
+  holds the O²PF chain behind :func:`oversample_to_count`),
   :mod:`~opfsample.cli`.
 """
 
@@ -20,7 +21,6 @@ from .cluster import (
     build_knn_graph,
     cluster_ift,
     compute_density,
-    find_best_k,
     normalized_cut,
 )
 from .data import (
@@ -39,6 +39,7 @@ from .harness import (
     ExperimentReport,
     TrialReport,
     compare_methods,
+    oversample_to_count,
     run_experiment,
     run_trial,
 )
@@ -47,8 +48,6 @@ from .oversample import (
     ClusterGaussian,
     OversamplePlan,
     allocate,
-    fit_minority_clusters,
-    oversample_to_count,
     synthesize,
 )
 
@@ -58,14 +57,14 @@ __all__ = [
     "NeighborConfig", "adasyn", "borderline_smote", "smote",
     "OpfClassifier",
     "ClusterForest", "DensityMap", "KnnGraph",
-    "build_knn_graph", "cluster_ift", "compute_density", "find_best_k", "normalized_cut",
+    "build_knn_graph", "cluster_ift", "compute_density", "normalized_cut",
     "Dataset", "PreprocessStats", "SplitSpec",
     "impute_mean", "load_csv", "split", "standardize",
     "DataError", "ExperimentError", "UsageError",
     "ComparisonReport", "ExperimentConfig", "ExperimentReport", "TrialReport",
-    "compare_methods", "run_experiment", "run_trial",
+    "compare_methods", "oversample_to_count", "run_experiment", "run_trial",
     "Confusion", "Scores", "WilcoxonResult", "score", "wilcoxon_signed_rank",
     "ClusterGaussian", "OversamplePlan",
-    "allocate", "fit_minority_clusters", "oversample_to_count", "synthesize",
+    "allocate", "synthesize",
     "__version__",
 ]

@@ -120,21 +120,24 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="opfsample", description=__doc__.split("\n")[0])
+    # no flag prefixes: a config key is parsed as a flag, and a misspelt key
+    # that happens to be a prefix (``tri = 1``) must not pass as ``--trials``
+    parser = _Parser(prog="opfsample", description=__doc__.split("\n")[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one oversampling method")
+    run = sub.add_parser("run", help="run one oversampling method", allow_abbrev=False)
     _add_data_flags(run)
     run.add_argument("--method", choices=harness.METHODS, help="oversampling method")
     _add_experiment_flags(run)
 
-    cmp_p = sub.add_parser("compare", help="compare several methods on shared seeds")
+    cmp_p = sub.add_parser("compare", help="compare several methods on shared seeds",
+                           allow_abbrev=False)
     _add_data_flags(cmp_p)
     cmp_p.add_argument("--method", dest="method",
                        help="comma-separated methods (default: all of %s)" % ",".join(harness.METHODS))
     _add_experiment_flags(cmp_p)
 
-    ins = sub.add_parser("inspect", help="summarize a dataset")
+    ins = sub.add_parser("inspect", help="summarize a dataset", allow_abbrev=False)
     _add_data_flags(ins)
     ins.add_argument("--format", choices=tuple(_FORMATS["inspect"]), default="text",
                      help="stdout format (default text)")
@@ -207,7 +210,8 @@ def _cmd_run(args, write) -> int:
 
 
 def _cmd_compare(args, write) -> int:
-    methods = [m.strip() for m in (args.method or ",".join(harness.METHODS)).split(",") if m.strip()]
+    listed = ",".join(harness.METHODS) if args.method is None else args.method
+    methods = [m.strip() for m in listed.split(",") if m.strip()]
     if not methods:
         raise UsageError("--method names no method")
     cmp_report = harness.compare_methods([_base_config(args, m) for m in methods])

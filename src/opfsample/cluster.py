@@ -264,10 +264,3 @@ def sweep_normalized_cuts(X: np.ndarray, k_max: int) -> tuple[np.ndarray, list[C
         cuts[k - 1] = normalized_cut(g, forest)
         forests.append(forest)
     return cuts, forests
-
-
-def find_best_k(X: np.ndarray, k_max: int) -> tuple[int, ClusterForest]:
-    """Pick the k in 1..k_max minimizing the normalized cut (ties go low)."""
-    cuts, forests = sweep_normalized_cuts(X, k_max)
-    best = int(np.argmin(cuts))
-    return best + 1, forests[best]

@@ -185,6 +185,8 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
             rows = [[c.strip() for c in row] for row in csv.reader(fh)]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:  # non-UTF-8 bytes, an oversized field
+        raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from None
     rows = [row for row in rows if any(row)]
     if not rows:
         raise DataError(f"{path}: empty file")

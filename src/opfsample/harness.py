@@ -13,7 +13,9 @@ The test partition is handed to scoring only after the hyperparameter winner
 is fixed, so no preprocessing statistic or tuning decision can read it.
 
 Each method is one entry of ``_METHOD_TABLE``: its default grid and its
-sampler call. ``METHODS`` lists the table's keys in order.
+sampler call. ``METHODS`` lists the table's keys in order. The O²PF chain
+(least-cut forest, Gaussians, allocation, synthesis) is ``_o2pf_rows``, which
+the grid and :func:`oversample_to_count` share.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import NeighborConfig, adasyn, borderline_smote, smote
 from .classifier import OpfClassifier
-from .cluster import pairwise_distances, sweep_normalized_cuts
+from .cluster import ClusterForest, pairwise_distances, sweep_normalized_cuts
 from .data import Dataset, SplitSpec, impute_mean, load_csv, split, standardize
 from .errors import ExperimentError
 from .metrics import score, wilcoxon_signed_rank
@@ -47,7 +50,10 @@ MAX_TRAINING_ROWS = 20_000
 # every call and a function replaced on this module is the one that runs.
 _METHOD_TABLE = {
     "none": ((), None),
-    "o2pf": (DEFAULT_K_MAX_GRID, lambda a, g, seed: a._o2pf_rows(g, seed)),
+    "o2pf": (
+        DEFAULT_K_MAX_GRID,
+        lambda a, g, seed: _o2pf_rows(a.minority_X, *(part[:g] for part in a.sweep), a.n_new, seed),
+    ),
     "smote": (
         DEFAULT_KAPPA_GRID,
         lambda a, g, seed: smote(a.minority_X, a.n_new, NeighborConfig(g, seed)),
@@ -164,13 +170,38 @@ class ExperimentReport:
         return out
 
 
+def _o2pf_rows(minority_X: np.ndarray, cuts, forests, n_new: int, seed: int) -> np.ndarray:
+    """Draw ``n_new`` O²PF rows from the sweep's forest of least normalized cut.
+
+    The first minimum wins, so ties go to the smaller k.
+    """
+    clusters = gaussians_from_forest(minority_X, forests[int(np.argmin(cuts))])
+    return synthesize_plan(clusters, allocate(clusters, n_new), seed)
+
+
+def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Dataset:
+    """Append exactly ``n_new`` O²PF minority samples to ``ds``, searching k in 1..k_max."""
+    if n_new < 0:
+        raise ValueError("n_new must be nonnegative")
+    if n_new == 0:
+        return ds
+    minority_X = ds.features[ds.labels == ds.minority_label]
+    if minority_X.shape[0] == 0:
+        raise ValueError("minority class is absent")
+    if minority_X.shape[0] < 2:
+        raise ValueError("need at least two minority samples to cluster")
+    rows = _o2pf_rows(minority_X, *sweep_normalized_cuts(minority_X, k_max), n_new, seed)
+    return append_minority_rows(ds, rows)
+
+
 class _TrialAugmenter:
     """Builds, trains and scores the augmented training set of each grid value.
 
     :meth:`augment` calls the method's sampler from ``_METHOD_TABLE``. For the
-    OPF oversampler the per-k clustering sweep is computed once up to the
-    largest grid value; the winner for a grid value g is then the best k
-    within 1..g, which matches running the full search per value.
+    OPF oversampler the per-k clustering :attr:`sweep` is computed once up to
+    the largest grid value; grid value g hands its first g entries to
+    :func:`_o2pf_rows`, which matches :func:`oversample_to_count` with
+    ``k_max = g``.
 
     Every augmented set starts with the training rows in their original
     order, so :meth:`evaluate` computes the training partition's distance
@@ -202,8 +233,6 @@ class _TrialAugmenter:
             raise ExperimentError(
                 "cannot oversample: fewer than two minority samples in the training partition"
             )
-        self._cuts = None
-        self._forests = None
         self._train_dist = None
 
     def grid(self) -> tuple[int, ...]:
@@ -214,13 +243,10 @@ class _TrialAugmenter:
         clamped = sorted({min(g, cap) for g in values})
         return tuple(g for g in clamped if g >= 1)
 
-    def _o2pf_rows(self, g: int, seed: int) -> np.ndarray:
-        if self._cuts is None:
-            self._cuts, self._forests = sweep_normalized_cuts(self.minority_X, max(self.grid()))
-        k_star = int(np.argmin(self._cuts[:g]))
-        clusters = gaussians_from_forest(self.minority_X, self._forests[k_star])
-        plan = allocate(clusters, self.n_new)
-        return synthesize_plan(clusters, plan, seed)
+    @cached_property
+    def sweep(self) -> tuple[np.ndarray, list[ClusterForest]]:
+        """Normalized cut and forest for every k up to the largest grid value."""
+        return sweep_normalized_cuts(self.minority_X, max(self.grid()))
 
     def augment(self, g: int | None) -> Dataset:
         if g is None or self.n_new == 0:
@@ -377,48 +403,43 @@ def compare_methods(configs, dataset: Dataset | None = None) -> ComparisonReport
 # same config yields byte-identical output (reports carry no timestamps).
 
 
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header: str, rows) -> str:
+    """One line per row; None is an empty cell, any other value is ``str()``."""
+    lines = [header]
+    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
     return {
         "config": {**asdict(report.config), "grid": list(report.config.effective_grid)},
         "summary": report.summary(),
-        "trials": [
-            {
-                "trial": t.trial,
-                "seed": t.seed,
-                "chosen": t.chosen,
-                "recall": t.recall,
-                "accuracy": t.accuracy,
-                "f1": t.f1,
-                "augmented_counts": list(t.augmented_counts),
-                "validation_trace": [[g, r] for g, r in t.validation_trace],
-            }
-            for t in report.trials
-        ],
+        "trials": [asdict(t) for t in report.trials],
     }
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return _json(report_to_dict(report))
 
 
 def trials_csv(report: ExperimentReport) -> str:
-    lines = ["trial,seed,chosen,recall,accuracy,f1,count_label0,count_label1"]
-    for t in report.trials:
-        chosen = "" if t.chosen is None else str(t.chosen)
-        lines.append(
-            f"{t.trial},{t.seed},{chosen},{t.recall},{t.accuracy},{t.f1},"
-            f"{t.augmented_counts[0]},{t.augmented_counts[1]}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "trial,seed,chosen,recall,accuracy,f1,count_label0,count_label1",
+        ((t.trial, t.seed, t.chosen, t.recall, t.accuracy, t.f1, *t.augmented_counts)
+         for t in report.trials),
+    )
 
 
 def validation_trace_csv(report: ExperimentReport) -> str:
     """Per-trial validation recall over the grid, for external plotting."""
-    lines = ["trial,grid_value,validation_recall"]
-    for t in report.trials:
-        for g, r in t.validation_trace:
-            lines.append(f"{t.trial},{g},{r}")
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "trial,grid_value,validation_recall",
+        ((t.trial, g, r) for t in report.trials for g, r in t.validation_trace),
+    )
 
 
 def comparison_to_dict(cmp: ComparisonReport) -> dict:
@@ -441,24 +462,22 @@ def comparison_to_dict(cmp: ComparisonReport) -> dict:
 
 
 def comparison_to_json(cmp: ComparisonReport) -> str:
-    return json.dumps(comparison_to_dict(cmp), indent=2, sort_keys=True) + "\n"
+    return _json(comparison_to_dict(cmp))
 
 
 def comparison_csv(cmp: ComparisonReport) -> str:
-    lines = [
-        "method,recall_mean,recall_std,accuracy_mean,accuracy_std,f1_mean,f1_std,"
-        "best_param_mean,best_param_std,p_value_vs_best,significant,equivalent_to_best"
-    ]
-    for report, row in zip(cmp.reports, cmp.rows):
-        s = report.summary()
-        bk_mean = "" if s["best_param_mean"] is None else str(s["best_param_mean"])
-        bk_std = "" if s["best_param_std"] is None else str(s["best_param_std"])
-        lines.append(
-            f"{row.method},{s['recall_mean']},{s['recall_std']},{s['accuracy_mean']},"
-            f"{s['accuracy_std']},{s['f1_mean']},{s['f1_std']},{bk_mean},{bk_std},"
-            f"{row.p_value},{row.significant},{row.equivalent}"
-        )
-    return "\n".join(lines) + "\n"
+    stats = (
+        "recall_mean", "recall_std", "accuracy_mean", "accuracy_std", "f1_mean", "f1_std",
+        "best_param_mean", "best_param_std",
+    )
+    return _csv(
+        ",".join(("method", *stats, "p_value_vs_best", "significant", "equivalent_to_best")),
+        (
+            (m["method"], *(m["summary"][k] for k in stats),
+             m["p_value_vs_best"], m["significant"], m["equivalent_to_best"])
+            for m in comparison_to_dict(cmp)["methods"]
+        ),
+    )
 
 
 def _fmt(mean, std) -> str:

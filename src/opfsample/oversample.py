@@ -1,12 +1,11 @@
-"""Cluster-guided Gaussian oversampling of the minority class.
+"""The per-cluster pieces of O²PF oversampling.
 
-The minority samples are clustered with the unsupervised optimum-path forest
-(the neighborhood size is selected automatically up to ``k_max``); each
-cluster contributes a multivariate Gaussian fitted to its members, and
-synthetic samples are drawn per cluster in proportion to cluster size.
-Synthesis happens in whatever feature space the input lives in (the harness
-passes standardized features) and the synthetic rows are appended after the
-original rows, which stay untouched.
+Given a clustering of the minority samples, each cluster contributes a
+multivariate Gaussian fitted to its members, and synthetic samples are drawn
+per cluster in proportion to cluster size. Synthesis happens in whatever
+feature space the input lives in (the harness passes standardized features)
+and the synthetic rows are appended after the original rows, which stay
+untouched. The chain that picks the clustering is ``harness._o2pf_rows``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import ClusterForest, find_best_k
+from .cluster import ClusterForest
 from .data import Dataset
 
 
@@ -52,10 +51,6 @@ class OversamplePlan:
     """How many synthetic samples each cluster contributes."""
 
     per_cluster_counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_cluster_counts)
 
 
 def largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
@@ -101,15 +96,6 @@ def gaussians_from_forest(minority_X: np.ndarray, forest: ClusterForest) -> list
             sigma = (sigma + sigma.T) / 2.0
         out.append(ClusterGaussian(mu, sigma, members.size, members))
     return out
-
-
-def fit_minority_clusters(minority_X: np.ndarray, k_max: int) -> list[ClusterGaussian]:
-    """Cluster the minority samples (best k up to ``k_max``) and fit Gaussians."""
-    X = np.asarray(minority_X, dtype=np.float64)
-    if X.shape[0] < 2:
-        raise ValueError("need at least two minority samples to cluster")
-    _, forest = find_best_k(X, k_max)
-    return gaussians_from_forest(X, forest)
 
 
 def allocate(clusters: list[ClusterGaussian], n_new: int) -> OversamplePlan:
@@ -168,18 +154,3 @@ def append_minority_rows(ds: Dataset, rows: np.ndarray) -> Dataset:
     features = np.vstack([ds.features, rows])
     labels = np.concatenate([ds.labels, np.full(rows.shape[0], ds.minority_label, dtype=np.int64)])
     return Dataset(features, labels, ds.feature_names, ds.minority_label)
-
-
-def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Dataset:
-    """Append exactly ``n_new`` synthetic minority samples to ``ds``."""
-    if n_new < 0:
-        raise ValueError("n_new must be nonnegative")
-    if n_new == 0:
-        return ds
-    minority_X = ds.features[ds.labels == ds.minority_label]
-    if minority_X.shape[0] == 0:
-        raise ValueError("minority class is absent")
-    clusters = fit_minority_clusters(minority_X, k_max)
-    plan = allocate(clusters, n_new)
-    return append_minority_rows(ds, synthesize_plan(clusters, plan, seed))
-

@@ -121,6 +121,8 @@ def test_usage_errors_exit_1(csv_path, capsys):
         ["compare", "--balance-mode", "ratio:inf"],
         ["compare", "--method", ","],
         ["run", "--seed", "-1"],
+        ["compare", "--method", ""],
+        ["run", "--tri", "1"],  # flags are never abbreviated
     ],
 )
 def test_invalid_values_exit_1(csv_path, capsys, argv):
@@ -223,11 +225,13 @@ def test_config_file_errors(csv_path, tmp_path, capsys):
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("frobnicate = 3\n")
     assert main(["run", "--config", str(unknown)]) == 1
-    # file values pass the same checks as flags, before any work is done
-    # keys are the subcommand's own flags: inspect has no --trials
+    # file values pass the same checks as flags, before any work is done;
+    # keys are the subcommand's own flags, spelt out (inspect has no --trials,
+    # and no key abbreviates one)
     for command, line in (
         ("run", "format = xml"), ("inspect", "format = csv"), ("run", "seed = -1"),
-        ("inspect", "trials = 2"), ("run", "config = other.cfg"),
+        ("inspect", "trials = 2"), ("run", "config = other.cfg"), ("compare", "method ="),
+        ("run", "tri = 1"),
     ):
         capsys.readouterr()
         checked = tmp_path / "checked.cfg"
@@ -298,3 +302,44 @@ def test_any_argv_ends_in_a_documented_exit_code(argv_dir, case):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([*map(str, argv), "--config", str(cfg)])
     assert code in (0, 1, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv_fuzz")
+
+
+_NUMBER = st.floats(-50, 50, allow_nan=False).map(lambda v: f"{v:.3f}")
+_ODD_CELL = st.sampled_from(("", "?", "?", "inf", "-Infinity", "nan", "NaN", "1e999", "x"))
+
+
+@st.composite
+def _csv_file(draw):
+    width = draw(st.integers(2, 4))
+    labels = st.sampled_from(draw(st.sampled_from((("a",), ("0", "1"), ("0", "1"), ("p", "q", "r")))))
+    n = draw(st.integers(1, 40))
+    rows = [[draw(_NUMBER) for _ in range(width - 1)] + [draw(labels)] for _ in range(n)]
+    at = st.tuples(st.integers(0, n - 1), st.integers(0, width - 2))
+    for r, c in draw(st.lists(at, max_size=2)):
+        rows[r][c] = draw(_ODD_CELL)
+    for r in draw(st.lists(st.integers(0, n - 1), max_size=1)):  # a ragged row
+        rows[r] = rows[r][1:] if draw(st.booleans()) else ["0", *rows[r]]
+    if draw(st.integers(0, 3)) == 0:  # an all-missing column
+        c = draw(st.integers(0, width - 2))
+        for row in rows:
+            row[min(c, len(row) - 2)] = "?"
+    rows += draw(st.lists(st.sampled_from(rows), max_size=5))  # duplicate rows
+    if draw(st.booleans()):
+        rows.insert(0, [f"f{j}" for j in range(width - 1)] + ["label"])
+    text = "".join(",".join(row) + "\n" for row in rows).encode()
+    return text + draw(st.sampled_from((b"", b"", b"", b"\xff\xfe", b"caf\xe9\n")))
+
+
+@given(content=_csv_file())
+def test_any_small_csv_ends_in_a_documented_exit_code(csv_fuzz_dir, content):
+    path = csv_fuzz_dir / "fuzz.csv"
+    path.write_bytes(content)
+    data = ["--data", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["inspect", *data]) in (0, 1, 2, 3)
+        assert main(["run", *data, "--method", "none", "--trials", "1"]) in (0, 1, 2, 3)

@@ -11,7 +11,6 @@ from opfsample.cluster import (
     build_knn_graph,
     cluster_ift,
     compute_density,
-    find_best_k,
     normalized_cut,
     pairwise_distances,
     sweep_normalized_cuts,
@@ -265,56 +264,11 @@ def test_normalized_cut_bounds():
     assert 0.0 <= cut <= forest.num_clusters
 
 
-def test_find_best_k_singleton_search():
-    rng = np.random.default_rng(31)
-    X = rng.normal(size=(8, 2))
-    k_star, forest = find_best_k(X, 1)
-    assert k_star == 1
-    ref = cluster_ift(build_knn_graph(X, 1), compute_density(build_knn_graph(X, 1)))
-    np.testing.assert_array_equal(forest.cluster_id, ref.cluster_id)
-
-
-def test_find_best_k_two_blobs():
-    # Well-separated blobs: the chosen clustering must never mix them, and the
-    # blob-aligned 2-cluster solution must sit at the minimal cut value. (At
-    # very small k the graph decomposes into sub-blob components whose cut is
-    # also minimal, and the low-k tie rule may legitimately pick one of those.)
-    rng = np.random.default_rng(32)
-    blob1 = rng.normal(0, 0.5, size=(20, 2))
-    blob2 = rng.normal(0, 0.5, size=(20, 2)) + [40.0, 0.0]
-    X = np.vstack([blob1, blob2])
-    k_star, forest = find_best_k(X, 10)
-    for c in range(forest.num_clusters):
-        members = np.flatnonzero(forest.cluster_id == c)
-        assert (members < 20).all() or (members >= 20).all()
-    cuts, forests = sweep_normalized_cuts(X, 10)
-    aligned = [
-        k
-        for k in range(1, 11)
-        if forests[k - 1].num_clusters == 2
-        and len(set(forests[k - 1].cluster_id[:20])) == 1
-        and len(set(forests[k - 1].cluster_id[20:])) == 1
-    ]
-    assert aligned, "no k in range recovered the two blobs"
-    assert cuts[aligned[0] - 1] == cuts.min()
-    assert cuts[k_star - 1] == cuts.min()
-
-
-def test_find_best_k_is_argmin_of_sweep():
-    rng = np.random.default_rng(33)
-    X = rng.normal(size=(15, 2))
-    cuts, _ = sweep_normalized_cuts(X, 8)
-    k_star, forest = find_best_k(X, 8)
-    assert cuts[k_star - 1] == cuts.min()
-    assert all(cuts[k_star - 1] <= c for c in cuts)
-    # ties (if any) resolve toward the smaller k
-    assert (cuts[: k_star - 1] > cuts[k_star - 1]).all()
-
-
-def test_find_best_k_range_errors():
+def test_sweep_range_errors():
     X = np.zeros((4, 1))
-    with pytest.raises(ValueError):
-        find_best_k(X, 4)
+    for k_max in (0, 4):
+        with pytest.raises(ValueError, match="k_max must satisfy"):
+            sweep_normalized_cuts(X, k_max)
 
 
 def test_sweep_matches_independent_build():

@@ -131,6 +131,20 @@ def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
         load_csv(path)
 
 
+def test_load_csv_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1,2,0\n3,4,1\n5,6,0\n\xff\xfe\n")
+    with pytest.raises(DataError, match="not a readable UTF-8 CSV"):
+        load_csv(path)
+
+
+def test_load_csv_rejects_an_oversized_field(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("1,2,0\n3,4,1\n5," + "6" * 200_000 + ",0\n")
+    with pytest.raises(DataError, match="not a readable UTF-8 CSV"):
+        load_csv(path)
+
+
 def test_load_csv_missing_token_may_spell_a_non_finite_number(tmp_path):
     path = tmp_path / "nan_missing.csv"
     path.write_text("1,2,0\n3,nan,1\n5,6,0\n")

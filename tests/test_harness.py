@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opfsample import classifier, harness
+from opfsample import classifier, harness, oversample_to_count
 from opfsample.data import Dataset, split as data_split
 from opfsample.errors import ExperimentError
 from opfsample.harness import (
@@ -22,7 +22,6 @@ from opfsample.harness import (
     trials_csv,
     validation_trace_csv,
 )
-from opfsample.oversample import oversample_to_count
 
 from helpers import blob_dataset, pairwise_rows
 

@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opfsample.cluster import build_knn_graph, cluster_ift, compute_density
+from opfsample import oversample_to_count
+from opfsample.cluster import build_knn_graph, cluster_ift, compute_density, sweep_normalized_cuts
 from opfsample.data import Dataset
 from opfsample.oversample import (
     ClusterGaussian,
     allocate,
-    fit_minority_clusters,
+    append_minority_rows,
     gaussians_from_forest,
     largest_remainder,
-    oversample_to_count,
     synthesize,
+    synthesize_plan,
 )
 
 from helpers import two_pass_covariance
@@ -21,7 +22,9 @@ from helpers import two_pass_covariance
 def test_two_point_cluster_closed_form():
     p = np.array([1.0, 2.0])
     q = np.array([3.0, 6.0])
-    clusters = fit_minority_clusters(np.vstack([p, q]), k_max=1)
+    X = np.vstack([p, q])
+    _, forests = sweep_normalized_cuts(X, 1)
+    clusters = gaussians_from_forest(X, forests[0])
     assert len(clusters) == 1
     cg = clusters[0]
     np.testing.assert_allclose(cg.mu, (p + q) / 2)
@@ -43,18 +46,24 @@ def test_singleton_cluster_zero_covariance():
 def test_covariance_matches_two_pass_oracle():
     rng = np.random.default_rng(51)
     X = rng.normal(size=(30, 4))
-    clusters = fit_minority_clusters(X, k_max=5)
-    assert sum(c.count for c in clusters) == 30
-    for cg in clusters:
-        if cg.count > 1:
-            expected = two_pass_covariance(X[cg.member_indices])
-            np.testing.assert_allclose(cg.sigma_mat, expected, atol=1e-9)
-        np.testing.assert_allclose(cg.mu, X[cg.member_indices].mean(axis=0), atol=1e-12)
+    _, forests = sweep_normalized_cuts(X, 5)
+    for forest in forests:
+        clusters = gaussians_from_forest(X, forest)
+        assert sum(c.count for c in clusters) == 30
+        for cg in clusters:
+            if cg.count > 1:
+                expected = two_pass_covariance(X[cg.member_indices])
+                np.testing.assert_allclose(cg.sigma_mat, expected, atol=1e-9)
+            np.testing.assert_allclose(cg.mu, X[cg.member_indices].mean(axis=0), atol=1e-12)
 
 
 def test_fit_minority_requires_two_samples():
-    with pytest.raises(ValueError):
-        fit_minority_clusters(np.zeros((1, 2)), 1)
+    rng = np.random.default_rng(59)
+    y = np.zeros(6, dtype=int)
+    y[0] = 1
+    ds = Dataset.from_arrays(rng.normal(size=(6, 2)), y)
+    with pytest.raises(ValueError, match="two minority"):
+        oversample_to_count(ds, 3, k_max=1, seed=0)
 
 
 def _gaussians(sizes):
@@ -77,7 +86,7 @@ def test_allocate_examples():
 )
 def test_allocate_conserves_total(sizes, n_new):
     plan = allocate(_gaussians(sizes), n_new)
-    assert plan.total == n_new
+    assert sum(plan.per_cluster_counts) == n_new
     assert all(c >= 0 for c in plan.per_cluster_counts)
 
 
@@ -170,3 +179,49 @@ def test_oversample_requires_minority():
     ds = Dataset(rng.normal(size=(6, 2)), np.zeros(6, dtype=int), ("a", "b"), 1)
     with pytest.raises(ValueError, match="minority"):
         oversample_to_count(ds, 3, k_max=2, seed=0)
+
+
+def test_oversample_to_count_keeps_two_blobs_apart():
+    # Well-separated minority blobs: no synthetic row may fall between them,
+    # and the blob-aligned 2-cluster solution must sit at the minimal cut
+    # value. (At very small k the graph decomposes into sub-blob components
+    # whose cut is also minimal, and the low-k tie rule may pick one of those.)
+    rng = np.random.default_rng(32)
+    blob1 = rng.normal(0, 0.5, size=(20, 2))
+    blob2 = rng.normal(0, 0.5, size=(20, 2)) + [40.0, 0.0]
+    minority = np.vstack([blob1, blob2])
+    majority = rng.normal(0, 0.5, size=(60, 2)) + [20.0, 40.0]
+    ds = Dataset.from_arrays(np.vstack([minority, majority]), np.r_[np.ones(40, dtype=int), np.zeros(60, dtype=int)])
+    out = oversample_to_count(ds, 20, k_max=10, seed=3)
+    x = out.features[ds.n_samples:, 0]
+    assert x.size == 20
+    assert ((x < 10.0) | (x > 30.0)).all()
+    cuts, forests = sweep_normalized_cuts(minority, 10)
+    aligned = [
+        k
+        for k in range(1, 11)
+        if forests[k - 1].num_clusters == 2
+        and len(set(forests[k - 1].cluster_id[:20])) == 1
+        and len(set(forests[k - 1].cluster_id[20:])) == 1
+    ]
+    assert aligned, "no k in range recovered the two blobs"
+    assert cuts[aligned[0] - 1] == cuts.min()
+
+
+def test_oversample_to_count_matches_public_pieces_oracle():
+    # Three tight blobs: several k tie at the least cut with different
+    # cluster counts, so the tie rule (first minimum, smaller k) decides.
+    rng = np.random.default_rng(0)
+    minority = np.vstack([rng.normal(0, 0.3, size=(6, 2)) + c for c in ([0, 0], [10, 0], [0, 10])])
+    majority = rng.normal(0, 0.3, size=(30, 2)) + [30.0, 30.0]
+    ds = Dataset.from_arrays(np.vstack([majority, minority]), np.r_[np.zeros(30, dtype=int), np.ones(18, dtype=int)])
+    k_max, n_new, seed = 8, 12, 21
+    cuts, forests = sweep_normalized_cuts(minority, k_max)
+    tied = [i for i in range(k_max) if cuts[i] == cuts.min()]
+    assert len({forests[i].num_clusters for i in tied}) > 1
+    best = min(range(k_max), key=lambda i: (cuts[i], i))
+    clusters = gaussians_from_forest(minority, forests[best])
+    expected = append_minority_rows(ds, synthesize_plan(clusters, allocate(clusters, n_new), seed))
+    got = oversample_to_count(ds, n_new, k_max, seed)
+    np.testing.assert_array_equal(got.features, expected.features)
+    np.testing.assert_array_equal(got.labels, expected.labels)
