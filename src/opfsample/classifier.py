@@ -3,11 +3,12 @@
 Prototypes are the endpoints of minimum-spanning-tree arcs that join the two
 classes. A path costs its largest arc, and each training sample's cost is the
 cheapest such path from a prototype. Under this cost the optimum-path forest
-of the complete graph is a minimum spanning forest, so the costs are computed
-over the n - 1 arcs of the tree. Every single-class subtree left by cutting
-the tree's cross-class arcs holds a prototype of its own class, so each
-training sample keeps its own label. Prediction evaluates the same cost for a
-new point against every training sample.
+of the complete graph is a minimum spanning forest, so the costs come from two
+linear passes over the order in which Prim's algorithm joins the nodes. Every
+single-class subtree left by cutting the tree's cross-class arcs holds a
+prototype of its own class, so each training sample keeps its own label.
+Prediction evaluates the same cost for a new point against every training
+sample.
 
 Fits that share their leading training rows can share the distances among
 those rows: ``fit`` takes them as ``known_dist`` and computes only the rest.
@@ -15,53 +16,56 @@ those rows: ``fit`` takes them as ``known_dist`` and computes only the rest.
 
 from __future__ import annotations
 
-import heapq
 import json
 
 import numpy as np
 
-from .cluster import pairwise_distances
+from .cluster import _row_distances, pairwise_distances
 
 SERIAL_FORMAT_VERSION = 2
 
 
-def _minimum_spanning_edges(dist: np.ndarray) -> list[tuple[int, int]]:
-    """Prim's algorithm on a complete graph; deterministic index tie-breaks."""
+def _prim(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim's algorithm on a complete graph from node 0; lowest index wins ties.
+
+    Returns the nodes after the root in the order they join the tree, and
+    each node's parent.
+    """
     n = dist.shape[0]
+    key = np.full(n, np.inf)
+    key[0] = 0.0
     visited = np.zeros(n, dtype=bool)
-    key = dist[0].copy()
     parent = np.zeros(n, dtype=np.intp)
-    visited[0] = True
-    edges: list[tuple[int, int]] = []
-    for _ in range(n - 1):
-        u = int(np.argmin(np.where(visited, np.inf, key)))
+    order = np.empty(n, dtype=np.intp)
+    for step in range(n):
+        u = int(np.argmin(key))
+        order[step] = u
         visited[u] = True
-        edges.append((int(parent[u]), u))
+        key[u] = np.inf  # so a tree node is never picked again
         better = (dist[u] < key) & ~visited
         key[better] = dist[u][better]
         parent[better] = u
-    return edges
+    return order[1:], parent
 
 
-def _tree_minimax_costs(dist: np.ndarray, edges, sources: np.ndarray) -> np.ndarray:
-    """Smallest largest-arc cost from ``sources`` to each node over tree ``edges``."""
+def _tree_minimax_costs(dist: np.ndarray, joined, parent, sources: np.ndarray) -> np.ndarray:
+    """Smallest largest-arc cost from ``sources`` to each node over Prim's tree.
+
+    The children-to-parents pass gives the best path into each subtree; the
+    parents-to-children pass adds the best path through the parent.
+    """
     n = dist.shape[0]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    cost = np.full(n, np.inf)
-    heap = [(0.0, int(s)) for s in sources]
-    heapq.heapify(heap)
-    while heap:
-        c, u = heapq.heappop(heap)
-        if cost[u] <= c:
-            continue
-        cost[u] = c
-        for v in adj[u]:
-            if cost[v] == np.inf:
-                heapq.heappush(heap, (max(c, float(dist[u, v])), v))
-    return cost
+    weight = dist[np.arange(n), parent].tolist()  # each node's arc to its parent
+    joined, parent = joined.tolist(), parent.tolist()
+    cost = [np.inf] * n
+    for s in sources.tolist():
+        cost[s] = 0.0
+    for u in reversed(joined):
+        p = parent[u]
+        cost[p] = min(cost[p], max(cost[u], weight[u]))
+    for u in joined:
+        cost[u] = min(cost[u], max(cost[parent[u]], weight[u]))
+    return np.array(cost)
 
 
 class OpfClassifier:
@@ -102,11 +106,10 @@ class OpfClassifier:
         if classes.size != 2:
             raise ValueError("training requires samples from both classes")
         dist = pairwise_distances(X, known=known_dist)
-        edges = _minimum_spanning_edges(dist)
-        prototypes = np.array(
-            sorted({i for a, b in edges if y[a] != y[b] for i in (a, b)}), dtype=np.intp
-        )
-        cost = _tree_minimax_costs(dist, edges, prototypes)
+        joined, parent = _prim(dist)
+        cross = joined[y[joined] != y[parent[joined]]]
+        prototypes = np.unique(np.concatenate([cross, parent[cross]]))
+        cost = _tree_minimax_costs(dist, joined, parent, prototypes)
 
         for arr in (X, y, cost, prototypes):
             arr.setflags(write=False)
@@ -135,7 +138,7 @@ class OpfClassifier:
             raise ValueError("probes must not contain NaN")
         labels = np.empty(X.shape[0], dtype=np.int64)
         for r in range(X.shape[0]):
-            d = np.sqrt(((self.train_features_ - X[r]) ** 2).sum(axis=1))
+            d = _row_distances(self.train_features_, X[r])
             vals = np.maximum(self.cost_, d)
             labels[r] = self.assigned_label_[int(np.argmin(vals))]
         return labels

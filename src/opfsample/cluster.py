@@ -61,6 +61,11 @@ class ClusterForest:
     num_clusters: int
 
 
+def _row_distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Euclidean distance from ``x`` to each row of ``A``."""
+    return np.sqrt(((A - x) ** 2).sum(axis=1))
+
+
 def pairwise_distances(X: np.ndarray, known: np.ndarray | None = None) -> np.ndarray:
     """Exact Euclidean distance matrix; each pair is computed once.
 
@@ -86,7 +91,7 @@ def pairwise_distances(X: np.ndarray, known: np.ndarray | None = None) -> np.nda
         t = known.shape[0]
         out[:t, :t] = known
     for i in range(t, n):
-        d = np.sqrt(((X[: i + 1] - X[i]) ** 2).sum(axis=1))
+        d = _row_distances(X[: i + 1], X[i])
         out[i, : i + 1] = d
         out[:i, i] = d[:i]
     np.fill_diagonal(out, 0.0)
@@ -134,7 +139,8 @@ def compute_density(g: KnnGraph) -> DensityMap:
     """Gaussian kernel density over each node's (symmetrized) neighborhood.
 
     The kernel width is sigma = d_max / 3, the normalizer uses the nominal k
-    and the exponent is -d / (2 sigma^2).
+    and the exponent is -d / (2 sigma^2). delta is the smallest positive
+    density gap across an arc.
 
     When every pairwise distance is zero the density is uniform by
     construction and a single cluster results downstream.
@@ -151,15 +157,11 @@ def compute_density(g: KnnGraph) -> DensityMap:
         for i in range(n):
             rho[i] = coef * np.exp(-g.distances[i] / denom).sum()
 
-    delta = math.inf
-    for i in range(n):
-        gaps = np.abs(rho[g.neighbors[i]] - rho[i])
-        gaps = gaps[gaps > 0]
-        if gaps.size:
-            delta = min(delta, float(gaps.min()))
-    if not math.isfinite(delta):
-        # Pure plateau: any positive gap works, as long as rho - delta != rho.
-        delta = max(1.0, 4.0 * float(np.spacing(rho.max())))
+    tails = np.repeat(np.arange(n), [nb.size for nb in g.neighbors])
+    gaps = np.abs(rho[np.concatenate(g.neighbors)] - rho[tails])
+    gaps = gaps[gaps > 0]
+    # On a pure plateau any positive gap works, as long as rho - delta != rho.
+    delta = float(gaps.min()) if gaps.size else max(1.0, 4.0 * float(np.spacing(rho.max())))
     rho.setflags(write=False)
     return DensityMap(rho, float(sigma), float(delta))
 
@@ -200,7 +202,7 @@ def cluster_ift(g: KnnGraph, dm: DensityMap) -> ClusterForest:
             cost[i] = rho[i]
             cid[i] = len(roots)
             roots.append(i)
-        for j, dij in zip(g.neighbors[i], g.distances[i]):
+        for j in g.neighbors[i]:
             if removed[j]:
                 continue
             offer = min(cost[i], rho[j])

@@ -176,49 +176,46 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
     index; the default is the last column. Cells equal to ``missing_token``
     become NaN and stay that way until :func:`impute_mean` runs; any other
     cell that parses to a non-finite number (``inf``, ``nan``, ``1e999``)
-    raises :class:`DataError`. Row order is preserved. Raw label values are
-    mapped onto {0, 1}: numerically when both parse as numbers,
-    lexicographically otherwise, smallest first.
+    raises :class:`DataError`. Error messages number rows by their line in
+    the file. Row order is preserved. Raw label values are mapped onto
+    {0, 1}: numerically when both parse as numbers, lexicographically
+    otherwise, smallest first.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [[c.strip() for c in row] for row in csv.reader(fh)]
+            reader = csv.reader(fh)
+            lines = [(reader.line_num, [c.strip() for c in row]) for row in reader]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except (UnicodeDecodeError, csv.Error) as exc:  # non-UTF-8 bytes, an oversized field
         raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from None
-    rows = [row for row in rows if any(row)]
-    if not rows:
+    lines = [(num, row) for num, row in lines if any(row)]
+    if not lines:
         raise DataError(f"{path}: empty file")
 
-    width = len(rows[0])
+    first = lines[0][1]
+    width = len(first)
     if width < 2:
         raise DataError(f"{path}: need at least one feature column plus the label column")
 
     if isinstance(label_column, str):
-        header = rows[0]
-        if label_column not in header:
+        if label_column not in first:
             raise DataError(f"{path}: label column {label_column!r} not found in header")
-        label_idx = header.index(label_column)
-        data_rows = rows[1:]
-        names = [c for i, c in enumerate(header) if i != label_idx]
+        label_idx = first.index(label_column)
+        has_header = True
     else:
         label_idx = int(label_column)
         if label_idx < 0:
             label_idx += width
         if not 0 <= label_idx < width:
             raise DataError(f"{path}: label column index {label_column} out of range for {width} columns")
-        first_is_data = all(
+        has_header = not all(
             cell == missing_token or _parses_as_float(cell)
-            for i, cell in enumerate(rows[0])
+            for i, cell in enumerate(first)
             if i != label_idx
         )
-        if first_is_data:
-            data_rows = rows
-            names = None
-        else:
-            data_rows = rows[1:]
-            names = [c for i, c in enumerate(rows[0]) if i != label_idx]
+    names = [c for i, c in enumerate(first) if i != label_idx] if has_header else None
+    data_rows = lines[1:] if has_header else lines
 
     if not data_rows:
         raise DataError(f"{path}: no data rows")
@@ -227,9 +224,9 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
     m = width - 1
     features = np.empty((n, m), dtype=np.float64)
     raw_labels: list[str] = []
-    for r, row in enumerate(data_rows):
+    for r, (line, row) in enumerate(data_rows):
         if len(row) != width:
-            raise DataError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
+            raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
         col = 0
         for i, cell in enumerate(row):
             if i == label_idx:
@@ -240,12 +237,10 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
             elif _parses_as_float(cell):
                 value = float(cell)
                 if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: non-finite cell {cell!r} at row {r + 1}, column {i + 1}"
-                    )
+                    raise DataError(f"{path}: non-finite cell {cell!r} at row {line}, column {i + 1}")
                 features[r, col] = value
             else:
-                raise DataError(f"{path}: unparseable cell {cell!r} at row {r + 1}, column {i + 1}")
+                raise DataError(f"{path}: unparseable cell {cell!r} at row {line}, column {i + 1}")
             col += 1
 
     distinct = sorted(set(raw_labels))

@@ -135,15 +135,14 @@ def synthesize_plan(clusters: list[ClusterGaussian], plan: OversamplePlan, seed:
     output does not depend on evaluation order and clusters could be sampled
     concurrently.
     """
+    if not clusters:
+        raise ValueError("no clusters to synthesize from")
     if len(plan.per_cluster_counts) != len(clusters):
         raise ValueError("plan does not match the cluster list")
     blocks = [
         synthesize(cg, cnt, np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
         for idx, (cg, cnt) in enumerate(zip(clusters, plan.per_cluster_counts))
     ]
-    m = clusters[0].mu.shape[0]
-    if not blocks:
-        return np.empty((0, m))
     return np.vstack(blocks)
 
 

@@ -46,6 +46,11 @@ def test_zero_request_still_checks_inputs():
     assert adasyn(X, y, ok, 0, minority_label=1).shape == (0, 1)
 
 
+def test_smote_needs_two_minority_samples():
+    with pytest.raises(ValueError, match="need at least two minority samples"):
+        smote(np.zeros((1, 2)), 3, NeighborConfig(kappa=1, seed=1))
+
+
 def test_smote_containment_2d_fixture():
     rng = np.random.default_rng(61)
     X = rng.normal(size=(9, 2))

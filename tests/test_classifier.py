@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from opfsample.classifier import OpfClassifier
 from opfsample.cluster import pairwise_distances
@@ -138,6 +139,21 @@ def test_prototypes_span_both_classes_and_frontier_fixture():
         yr[:2] = [0, 1]
         m = OpfClassifier().fit(Xr, yr)
         assert len(set(yr[m.prototypes_])) == 2
+
+
+def test_prototypes_match_an_independent_minimum_spanning_tree():
+    # on tie-free data the MST is unique, so the prototypes are exactly the
+    # endpoints of its cross-class arcs, whichever algorithm builds it
+    rng = np.random.default_rng(48)
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        X = rng.normal(size=(n, 3))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        tree = minimum_spanning_tree(pairwise(X)).tocoo()
+        cross = y[tree.row] != y[tree.col]
+        expected = np.union1d(tree.row[cross], tree.col[cross])
+        np.testing.assert_array_equal(OpfClassifier().fit(X, y).prototypes_, expected)
 
 
 def test_duplicate_points_across_classes_allowed():

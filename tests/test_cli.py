@@ -195,6 +195,39 @@ def test_experiment_failure_exits_3(tmp_path, capsys):
     assert main(["run", "--data", str(path), "--method", "none", "--trials", "1"]) == 3
 
 
+def test_one_minority_row_in_training_exits_3(tmp_path, capsys):
+    rng = np.random.default_rng(85)
+    y = np.array([0] * 20 + [1] * 3)
+    path = write_dataset_csv(tmp_path / "three_minority.csv", rng.normal(size=(23, 2)), y)
+    argv = ["run", "--data", str(path), "--method", "smote", "--trials", "1", "--grid", "1"]
+    assert main(argv) == 3
+    assert "fewer than two minority samples" in capsys.readouterr().err
+
+
+@pytest.fixture
+def labelled_csv(tmp_path):
+    # the label sits in the first column, named "outcome"; 1 is the minority label
+    path = tmp_path / "labelled.csv"
+    rows = [f"{int(i % 4 == 0)},{i}.5,{i * i}" for i in range(12)]
+    path.write_text("outcome,age,mass\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("label_col", ["outcome", "0"])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_label_column_by_name_or_index(labelled_csv, tmp_path, capsys, label_col, via_config):
+    if via_config:
+        cfg = tmp_path / "label.cfg"
+        cfg.write_text(f"data = {labelled_csv}\nlabel_col = {label_col}\n")
+        given = ["--config", str(cfg)]
+    else:
+        given = ["--data", str(labelled_csv), "--label-col", label_col]
+    assert main(["inspect", *given, "--format", "json"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["feature_names"] == ["age", "mass"]
+    assert info["minority_label"] == 1
+
+
 def test_config_file_with_flag_override(csv_path, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

@@ -131,6 +131,16 @@ def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
         load_csv(path)
 
 
+def test_load_csv_numbers_rows_by_their_line_in_the_file(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("a,b,label\n1,2,0\n\n3,x,1\n")
+    with pytest.raises(DataError, match=r"unparseable cell 'x' at row 4, column 2"):
+        load_csv(path)
+    path.write_text("a,b,label\n1,2,0\n\n3,4\n")
+    with pytest.raises(DataError, match=r"row 4 has 2 cells, expected 3"):
+        load_csv(path)
+
+
 def test_load_csv_rejects_non_utf8_bytes(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"1,2,0\n3,4,1\n5,6,0\n\xff\xfe\n")

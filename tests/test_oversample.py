@@ -8,6 +8,7 @@ from opfsample.cluster import build_knn_graph, cluster_ift, compute_density, swe
 from opfsample.data import Dataset
 from opfsample.oversample import (
     ClusterGaussian,
+    OversamplePlan,
     allocate,
     append_minority_rows,
     gaussians_from_forest,
@@ -99,6 +100,11 @@ def test_largest_remainder_rejects_inconsistent_totals():
         largest_remainder(np.array([3.0, 3.0]), 2)
     with pytest.raises(ValueError, match="undersum"):
         largest_remainder(np.array([0.2, 0.2]), 5)
+
+
+def test_synthesize_plan_rejects_an_empty_cluster_list():
+    with pytest.raises(ValueError, match="no clusters"):
+        synthesize_plan([], OversamplePlan(()), seed=0)
 
 
 def test_synthesize_zero_covariance_copies():
