@@ -94,7 +94,7 @@ class OpfClassifier:
         rows of ``X`` as :func:`~opfsample.cluster.pairwise_distances` returns
         it; only the remaining rows are computed, and the result is the same
         as without it. A block that is not square with t <= n raises
-        ``ValueError``.
+        ``ValueError``, and so does a distance that overflows to inf.
         """
         X = np.array(X, dtype=np.float64)
         y = np.array(y, dtype=np.int64)
@@ -105,7 +105,10 @@ class OpfClassifier:
         classes = np.unique(y)
         if classes.size != 2:
             raise ValueError("training requires samples from both classes")
-        dist = pairwise_distances(X, known=known_dist)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = pairwise_distances(X, known=known_dist)
+        if not np.isfinite(dist).all():
+            raise ValueError("training features must give finite pairwise distances")
         joined, parent = _prim(dist)
         cross = joined[y[joined] != y[parent[joined]]]
         prototypes = np.unique(np.concatenate([cross, parent[cross]]))

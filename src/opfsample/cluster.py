@@ -175,26 +175,29 @@ def cluster_ift(g: KnnGraph, dm: DensityMap) -> ClusterForest:
     cost rho. A removed node offers each remaining neighbor j the value
     min(cost_i, rho_j), which conquers j whenever it strictly improves j's
     cost. Each conquered node inherits its conqueror's cluster.
+
+    The competition runs on Python lists, which index far faster than numpy
+    scalars; the handicaps are taken in numpy first, so every float is the
+    same as in an all-numpy loop.
     """
-    rho = dm.rho
     n = g.n_nodes
-    if rho.shape != (n,):
+    if dm.rho.shape != (n,):
         raise ValueError("density map does not match the graph")
-    cost = rho - dm.delta
-    pred = np.full(n, -1, dtype=np.intp)
-    cid = np.full(n, -1, dtype=np.intp)
-    removed = np.zeros(n, dtype=bool)
+    rho = dm.rho.tolist()
+    cost = (dm.rho - dm.delta).tolist()
+    neighbors = [nb.tolist() for nb in g.neighbors]
+    pred = [-1] * n
+    cid = [-1] * n
+    removed = [False] * n
     roots: list[int] = []
 
-    counter = 0
-    heap: list[tuple[float, int, int]] = []
-    for i in range(n):
-        heap.append((-cost[i], counter, i))
-        counter += 1
+    heap = [(-c, i, i) for i, c in enumerate(cost)]
     heapq.heapify(heap)
+    counter = n
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     while heap:
-        neg, _, i = heapq.heappop(heap)
+        neg, _, i = heappop(heap)
         if removed[i] or -neg != cost[i]:
             continue
         removed[i] = True
@@ -202,23 +205,27 @@ def cluster_ift(g: KnnGraph, dm: DensityMap) -> ClusterForest:
             cost[i] = rho[i]
             cid[i] = len(roots)
             roots.append(i)
-        for j in g.neighbors[i]:
+        cost_i, cid_i = cost[i], cid[i]
+        for j in neighbors[i]:
             if removed[j]:
                 continue
-            offer = min(cost[i], rho[j])
+            offer = min(cost_i, rho[j])
             if offer > cost[j]:
                 cost[j] = offer
                 pred[j] = i
-                cid[j] = cid[i]
-                heapq.heappush(heap, (-offer, counter, j))
+                cid[j] = cid_i
+                heappush(heap, (-offer, counter, j))
                 counter += 1
 
-    cost.setflags(write=False)
-    pred.setflags(write=False)
-    cid.setflags(write=False)
-    roots_arr = np.array(roots, dtype=np.intp)
-    roots_arr.setflags(write=False)
-    return ClusterForest(cost, pred, cid, roots_arr, len(roots))
+    arrays = [
+        np.array(cost, dtype=np.float64),
+        np.array(pred, dtype=np.intp),
+        np.array(cid, dtype=np.intp),
+        np.array(roots, dtype=np.intp),
+    ]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return ClusterForest(*arrays, len(roots))
 
 
 def normalized_cut(g: KnnGraph, forest: ClusterForest) -> float:

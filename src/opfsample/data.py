@@ -284,13 +284,19 @@ def standardize(train: Dataset, others=()) -> tuple[PreprocessStats, Dataset, li
     """Shift/scale all partitions to zero mean and unit sample std of the training partition.
 
     Zero-variance training columns are recorded with std 0 and divided by 1,
-    so they come out identically zero on the training partition.
+    so they come out identically zero on the training partition. A training
+    column whose mean or std overflows raises :class:`DataError`.
     """
     for ds in (train, *others):
         if np.isnan(ds.features).any():
             raise DataError("standardize requires imputation to have run first")
-    means = train.features.mean(axis=0)
-    stds = train.features.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = train.features.mean(axis=0)
+        stds = train.features.std(axis=0, ddof=1)
+    overflowed = ~(np.isfinite(means) & np.isfinite(stds))
+    if overflowed.any():
+        bad = [train.feature_names[j] for j in np.flatnonzero(overflowed)]
+        raise DataError(f"training features too large to standardize (mean or std overflows): {bad}")
     stats = PreprocessStats(means, stds)
     transformed = [ds.with_features(stats.apply(ds.features)) for ds in (train, *others)]
     return stats, transformed[0], transformed[1:]

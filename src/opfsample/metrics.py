@@ -5,7 +5,8 @@ the exact null distribution of the signed-rank statistic (computed by
 enumerating the distribution over all 2^n sign assignments) whenever the
 effective sample size is at most 25, which covers the 20-trial regime this
 package targets; larger samples use a normal approximation with tie
-correction.
+correction. Only that approximation needs scipy (``scipy.stats.norm``), so
+scipy is imported only for a test with more than 25 nonzero pairs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 ALPHA = 0.05
 EXACT_LIMIT = 25
@@ -87,6 +87,22 @@ class WilcoxonResult:
     conclusive: bool
 
 
+def tied_ranks(values) -> np.ndarray:
+    """1-based ranks in which each run of equal values shares its mean rank.
+
+    A run that fills sorted positions start..end-1 gets (start + end + 1) / 2,
+    as ``scipy.stats.rankdata`` gives by default.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def signed_rank_null_counts(ranks: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact counts of sign assignments per doubled positive-rank sum.
 
@@ -117,12 +133,14 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired samples must be vectors of equal length")
     d = a - b
+    if np.isnan(d).any():
+        raise ValueError("paired samples must not contain NaN")
     d = d[d != 0]
     n_eff = d.size
     if n_eff == 0:
         return WilcoxonResult(0.0, 1.0, 0, False, False)
 
-    ranks = rankdata(np.abs(d))
+    ranks = tied_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
@@ -141,6 +159,8 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
         _, tie_sizes = np.unique(np.abs(d), return_counts=True)
         var -= float((tie_sizes**3 - tie_sizes).sum()) / 48.0
         z = (w - mean) / np.sqrt(var)
+        from scipy.stats import norm  # slow to import, and only this branch needs it
+
         p = min(1.0, 2.0 * float(norm.cdf(z)))
 
     return WilcoxonResult(w, p, n_eff, p < ALPHA, True)

@@ -3,13 +3,18 @@
 Everything here deliberately avoids the library's own code paths: distances
 are recomputed pairwise, path costs come from explicit path enumeration or
 fixed-point closure, ranks and sign enumerations are written from scratch.
+The one exception is :func:`cluster_ift_reference`, the library's clustering
+loop on numpy arrays, which pins its tie order bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
+
+from opfsample.cluster import ClusterForest
 
 
 # --- geometry -----------------------------------------------------------
@@ -104,6 +109,65 @@ def cluster_cost_closure(neighbors, rho, delta, roots) -> np.ndarray:
         if not changed:
             break
     return best
+
+
+def cluster_ift_reference(g, dm) -> ClusterForest:
+    """Grow optimum-path trees from emergent density maxima, on numpy arrays.
+
+    A bitwise reference for ``opfsample.cluster.cluster_ift``, which runs the
+    same heap loop on Python lists: it pins the FIFO tie order, which the
+    cost oracles above do not see.
+
+    Every node starts with a handicap cost rho - delta and no predecessor.
+    Nodes are removed in order of maximum current cost (FIFO on ties); the
+    first time an unconquered node is removed it is promoted to a root with
+    cost rho. A removed node offers each remaining neighbor j the value
+    min(cost_i, rho_j), which conquers j whenever it strictly improves j's
+    cost. Each conquered node inherits its conqueror's cluster.
+    """
+    rho = dm.rho
+    n = g.n_nodes
+    if rho.shape != (n,):
+        raise ValueError("density map does not match the graph")
+    cost = rho - dm.delta
+    pred = np.full(n, -1, dtype=np.intp)
+    cid = np.full(n, -1, dtype=np.intp)
+    removed = np.zeros(n, dtype=bool)
+    roots: list[int] = []
+
+    counter = 0
+    heap: list[tuple[float, int, int]] = []
+    for i in range(n):
+        heap.append((-cost[i], counter, i))
+        counter += 1
+    heapq.heapify(heap)
+
+    while heap:
+        neg, _, i = heapq.heappop(heap)
+        if removed[i] or -neg != cost[i]:
+            continue
+        removed[i] = True
+        if pred[i] == -1:
+            cost[i] = rho[i]
+            cid[i] = len(roots)
+            roots.append(i)
+        for j in g.neighbors[i]:
+            if removed[j]:
+                continue
+            offer = min(cost[i], rho[j])
+            if offer > cost[j]:
+                cost[j] = offer
+                pred[j] = i
+                cid[j] = cid[i]
+                heapq.heappush(heap, (-offer, counter, j))
+                counter += 1
+
+    cost.setflags(write=False)
+    pred.setflags(write=False)
+    cid.setflags(write=False)
+    roots_arr = np.array(roots, dtype=np.intp)
+    roots_arr.setflags(write=False)
+    return ClusterForest(cost, pred, cid, roots_arr, len(roots))
 
 
 # --- classifier cost oracles ---------------------------------------------

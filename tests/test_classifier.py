@@ -205,6 +205,12 @@ def test_fit_and_predict_errors():
         OpfClassifier().predict(np.array([0.0, 0.0]))  # not fitted
 
 
+def test_fit_rejects_distances_that_overflow():
+    # each feature is finite, but squared differences overflow to inf
+    with pytest.raises(ValueError, match="finite pairwise distances"):
+        OpfClassifier().fit([[1e200], [-1e200], [0.0], [2e200]], [0, 1, 0, 1])
+
+
 def test_fit_with_known_prefix_equals_plain_fit():
     rng = np.random.default_rng(48)
     X = rng.normal(size=(30, 3))

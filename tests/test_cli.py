@@ -185,6 +185,17 @@ def test_non_finite_cell_is_a_data_error(tmp_path, capsys):
     assert "data error:" in err and "row 5, column 2" in err
 
 
+def test_overflowing_training_column_is_a_data_error(tmp_path, capsys):
+    # finite cells, but the training column's std overflows to inf
+    rng = np.random.default_rng(86)
+    X = np.c_[np.tile([1e307, -1e307], 20), rng.normal(size=40)]
+    y = np.tile([0, 0, 1, 0], 10)
+    path = write_dataset_csv(tmp_path / "huge.csv", X, y, header=["huge", "x"])
+    assert main(["run", "--data", str(path), "--method", "none", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "'huge'" in err
+
+
 def test_experiment_failure_exits_3(tmp_path, capsys):
     # a single minority sample cannot reach all three partitions
     rng = np.random.default_rng(82)

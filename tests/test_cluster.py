@@ -20,6 +20,7 @@ from helpers import (
     brute_force_knn,
     cluster_cost_closure,
     cluster_cost_dfs,
+    cluster_ift_reference,
     pairwise_rows,
     symmetrize,
 )
@@ -282,3 +283,32 @@ def test_sweep_matches_independent_build():
         np.testing.assert_array_equal(forests[k - 1].cluster_id, ref.cluster_id)
         np.testing.assert_allclose(forests[k - 1].cost, ref.cost, atol=0)
         assert cuts[k - 1] == normalized_cut(g, ref)
+
+
+def _assert_ift_matches_reference(X, ks):
+    for k in ks:
+        g = build_knn_graph(X, k)
+        dm = compute_density(g)
+        got, ref = cluster_ift(g, dm), cluster_ift_reference(g, dm)
+        np.testing.assert_array_equal(got.cost.view(np.uint64), ref.cost.view(np.uint64))
+        for name in ("pred", "cluster_id", "roots"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype == np.intp
+            np.testing.assert_array_equal(a, b)
+        assert got.num_clusters == ref.num_clusters
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 30), st.integers(1, 3), st.sampled_from([0, 1]))
+def test_cluster_ift_equals_numpy_reference_for_every_k(seed, n, m, decimals):
+    # coarse rounding gives duplicate points, tied distances and density
+    # plateaus, so the FIFO tie order decides roots and predecessors
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, m)) * 1.5, decimals)
+    _assert_ift_matches_reference(X, range(1, n))
+
+
+def test_cluster_ift_equals_numpy_reference_on_four_rounded_blobs():
+    rng = np.random.default_rng(35)
+    centers = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0]])
+    X = np.round(np.vstack([c + rng.normal(size=(18, 3)) * 0.6 for c in centers]), 1)
+    _assert_ift_matches_reference(X, (1, 2, 3, 5, 8, 13, 21, 34, 55, 71))

@@ -1,16 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+import opfsample
 from opfsample.metrics import (
     confusion,
     score,
     signed_rank_null_counts,
+    tied_ranks,
     wilcoxon_signed_rank,
 )
 
-from helpers import average_ranks, wilcoxon_oracle
+from helpers import average_ranks, blob_dataset, wilcoxon_oracle, write_dataset_csv
 
 
 def test_perfect_prediction():
@@ -159,3 +167,50 @@ def test_wilcoxon_normal_approximation_branch():
 def test_wilcoxon_length_mismatch():
     with pytest.raises(ValueError):
         wilcoxon_signed_rank([1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("n", [3, 8, 30])  # inconclusive, exact and normal branches
+def test_wilcoxon_rejects_nan(n):
+    a = np.arange(1.0, n + 1)
+    a[1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        wilcoxon_signed_rank(a, np.zeros(n))
+
+
+@given(
+    st.lists(st.floats(-3, 3, allow_nan=False), max_size=60),
+    st.integers(0, 2),
+    st.booleans(),
+)
+def test_tied_ranks_equal_both_oracles_on_tie_heavy_vectors(values, decimals, absolute):
+    v = np.round(np.asarray(values, dtype=np.float64), decimals)
+    if absolute:
+        v = np.abs(v)  # the Wilcoxon test ranks |d|, where +x and -x tie
+    ranks = tied_ranks(v)
+    for ref in (average_ranks(v), rankdata(v)):
+        assert ranks.dtype == ref.dtype == np.float64
+        np.testing.assert_array_equal(ranks.view(np.uint64), ref.view(np.uint64))
+
+
+def test_import_and_load_leave_scipy_unloaded(tmp_path):
+    X, y = blob_dataset(np.random.default_rng(17), n_maj=30, n_min=10, m=3)
+    csv = write_dataset_csv(tmp_path / "toy.csv", X, y)
+    script = (
+        "import sys, numpy as np, opfsample\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"opfsample.load_csv({str(csv)!r})\n"
+        "print(scipy_loaded())\n"
+        "rng = np.random.default_rng(18)\n"
+        "res = opfsample.wilcoxon_signed_rank(rng.normal(0.5, 1, 20), np.zeros(20))\n"
+        "print(res.n_effective, scipy_loaded())\n"
+    )
+    src = Path(opfsample.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "20 []"]
