@@ -132,7 +132,12 @@ class OpfClassifier:
         return int(self.predict_batch(np.asarray(x, dtype=np.float64)[np.newaxis])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        """Full-scan prediction for a batch; ties go to the lowest index."""
+        """Full-scan prediction for a batch; ties go to the lowest index.
+
+        A probe whose distance to a training sample is not finite (it
+        overflows, or the probe holds inf) raises ``ValueError``, as in
+        :meth:`fit`.
+        """
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.train_features_.shape[1]:
@@ -140,10 +145,13 @@ class OpfClassifier:
         if np.isnan(X).any():
             raise ValueError("probes must not contain NaN")
         labels = np.empty(X.shape[0], dtype=np.int64)
-        for r in range(X.shape[0]):
-            d = _row_distances(self.train_features_, X[r])
-            vals = np.maximum(self.cost_, d)
-            labels[r] = self.assigned_label_[int(np.argmin(vals))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(X.shape[0]):
+                d = _row_distances(self.train_features_, X[r])
+                if not np.isfinite(d).all():
+                    raise ValueError(f"probe {r} must give finite distances to training rows")
+                vals = np.maximum(self.cost_, d)
+                labels[r] = self.assigned_label_[int(np.argmin(vals))]
         return labels
 
     def to_json(self) -> str:

@@ -3,8 +3,8 @@
 One trial draws a seeded train/validation/test split, fits imputation and
 standardization statistics on the training partition only, picks the
 oversampler hyperparameter that maximizes minority recall on the validation
-partition, re-augments with the winner and scores on the test partition. An
-experiment repeats this over seeds ``base_seed + t``; comparisons across
+partition and scores the test partition with the winner's validation model.
+An experiment repeats this over seeds ``base_seed + t``; comparisons across
 methods reuse the same seed sequence so every method sees identical
 partitions trial by trial, which is what makes the paired signed-rank test
 applicable to the per-trial recall vectors.
@@ -32,7 +32,7 @@ from .baselines import NeighborConfig, adasyn, borderline_smote, smote
 from .classifier import OpfClassifier
 from .cluster import ClusterForest, pairwise_distances, sweep_normalized_cuts
 from .data import Dataset, SplitSpec, impute_mean, load_csv, split, standardize
-from .errors import ExperimentError
+from .errors import DataError, ExperimentError
 from .metrics import score, wilcoxon_signed_rank
 from .oversample import allocate, append_minority_rows, gaussians_from_forest, synthesize_plan
 
@@ -97,7 +97,6 @@ class ExperimentConfig:
     missing_token: str = "?"
     method: str = "o2pf"
     grid: tuple[int, ...] | None = None
-    ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
     trials: int = 20
     base_seed: int = 0
     balance_mode: str = BALANCE_TO_MAJORITY
@@ -121,7 +120,6 @@ class ExperimentConfig:
             if self.method == "none":
                 raise ValueError("method 'none' takes no hyperparameter grid")
             object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
 
     @property
     def effective_grid(self) -> tuple[int, ...]:
@@ -195,7 +193,7 @@ def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Datas
 
 
 class _TrialAugmenter:
-    """Builds, trains and scores the augmented training set of each grid value.
+    """Builds the augmented training set of each grid value and trains it once.
 
     :meth:`augment` calls the method's sampler from ``_METHOD_TABLE``. For the
     OPF oversampler the per-k clustering :attr:`sweep` is computed once up to
@@ -204,8 +202,11 @@ class _TrialAugmenter:
     ``k_max = g``.
 
     Every augmented set starts with the training rows in their original
-    order, so :meth:`evaluate` computes the training partition's distance
+    order, so :meth:`fit` computes the training partition's distance
     matrix once per trial, on first use, and each classifier fit extends it.
+
+    No set is trained twice: the model that wins on the validation partition
+    is the one that scores the test partition.
     """
 
     def __init__(self, train: Dataset, cfg: ExperimentConfig, trial_seed: int):
@@ -254,30 +255,52 @@ class _TrialAugmenter:
         sample = _METHOD_TABLE[self.cfg.method][1]
         return append_minority_rows(self.train, sample(self, g, derive_seed(self.trial_seed, g)))
 
-    def evaluate(self, g: int | None, part: Dataset):
-        """Train on the set augmented with ``g`` and score it on ``part``.
-
-        Returns the scores and the augmented set's class counts.
-        """
+    def fit(self, g: int | None) -> tuple[OpfClassifier, tuple[int, int]]:
+        """Train on the set augmented with ``g``; return the model and the set's class counts."""
         aug = self.augment(g)
         if self._train_dist is None:
             self._train_dist = pairwise_distances(self.train.features)
         model = OpfClassifier().fit(aug.features, aug.labels, known_dist=self._train_dist)
-        s = score(part.labels, model.predict_batch(part.features), part.minority_label)
-        return s, aug.class_counts
+        return model, aug.class_counts
 
 
-def select_hyperparameter(
-    augmenter: _TrialAugmenter, val: Dataset
-) -> tuple[int | None, tuple[tuple[int, float], ...]]:
+def select_hyperparameter(augmenter: _TrialAugmenter, val: Dataset):
     """Pick the grid value maximizing validation minority recall (ties go low).
 
-    Returns the winner plus the full (grid value, validation recall) trace.
-    Method "none" has no grid and returns (None, ()). The grid ascends and
-    ``max`` keeps the first of equal recalls.
+    Returns the winner, its model and augmented class counts, and the full
+    (grid value, validation recall) trace. Method "none" has no grid and
+    returns (None, model, counts, ()) for the unaugmented training set.
     """
-    trace = tuple((g, augmenter.evaluate(g, val)[0].recall) for g in augmenter.grid())
-    return max(trace, key=lambda entry: entry[1], default=(None,))[0], trace
+    if not augmenter.grid():
+        return (None, *augmenter.fit(None), ())
+    chosen, best, trace = None, -math.inf, []
+    for g in augmenter.grid():
+        model, counts = augmenter.fit(g)
+        recall = score(val.labels, model.predict_batch(val.features), val.minority_label).recall
+        trace.append((g, recall))
+        if recall > best:  # the grid ascends, so a tie keeps the smaller value
+            chosen, best, winner = g, recall, (model, counts)
+    return (chosen, *winner, tuple(trace))
+
+
+def _standardized(stats, part: Dataset, name: str) -> Dataset:
+    """``part`` scaled with the training statistics.
+
+    A row whose squared norm overflows would overflow the classifier's
+    distances, so it raises :class:`DataError` naming its largest cell.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = stats.apply(part.features)
+        too_large = ~np.isfinite(np.square(features).sum(axis=1))
+    if too_large.any():
+        i = int(np.argmax(too_large))
+        j = int(np.argmax(np.abs(features[i])))
+        raise DataError(
+            f"{name} partition row {i + 1}, column {part.feature_names[j]!r}: value "
+            f"{float(part.features[i, j])!r} is too large once standardized with the "
+            "training mean and std"
+        )
+    return part.with_features(features)
 
 
 def run_trial(
@@ -289,15 +312,16 @@ def run_trial(
 ) -> TrialReport:
     """Run the full pipeline once with the given split seed."""
     ds = cfg.load_dataset() if dataset is None else dataset
-    train_raw, val_raw, test_raw = split(ds, SplitSpec(cfg.ratios, trial_seed))
+    train_raw, val_raw, test_raw = split(ds, SplitSpec(seed=trial_seed))
     train, (val,) = impute_mean(train_raw, [val_raw])
-    stats, train, (val,) = standardize(train, [val])
+    stats, train, _ = standardize(train)
+    val = _standardized(stats, val, "validation")
     augmenter = _TrialAugmenter(train, cfg, trial_seed)
-    chosen, trace = select_hyperparameter(augmenter, val)
+    chosen, model, counts, trace = select_hyperparameter(augmenter, val)
     # the test partition is first touched here, after the winner is fixed
     _, (test,) = impute_mean(train_raw, [test_raw])
-    test = test.with_features(stats.apply(test.features))
-    scores, counts = augmenter.evaluate(chosen, test)
+    test = _standardized(stats, test, "test")
+    scores = score(test.labels, model.predict_batch(test.features), test.minority_label)
     return TrialReport(
         trial=trial,
         seed=trial_seed,
@@ -389,7 +413,7 @@ def compare_methods(configs, dataset: Dataset | None = None) -> ComparisonReport
         same = replace(cfg, method=ref.method, grid=ref.grid)
         if same != ref:
             raise ValueError(
-                "methods must share the dataset, ratios, trials and base_seed "
+                "methods must share the dataset, trials, base_seed and balance settings "
                 "so trials stay seed-paired"
             )
     ds = ref.load_dataset() if dataset is None else dataset
@@ -416,7 +440,8 @@ def _csv(header: str, rows) -> str:
 
 def report_to_dict(report: ExperimentReport) -> dict:
     return {
-        "config": {**asdict(report.config), "grid": list(report.config.effective_grid)},
+        "config": {**asdict(report.config), "grid": list(report.config.effective_grid),
+                   "ratios": list(SplitSpec().ratios)},
         "summary": report.summary(),
         "trials": [asdict(t) for t in report.trials],
     }

@@ -3,8 +3,12 @@
 Everything here deliberately avoids the library's own code paths: distances
 are recomputed pairwise, path costs come from explicit path enumeration or
 fixed-point closure, ranks and sign enumerations are written from scratch.
-The one exception is :func:`cluster_ift_reference`, the library's clustering
-loop on numpy arrays, which pins its tie order bit for bit.
+There are two exceptions. :func:`cluster_ift_reference` is the library's
+clustering loop on numpy arrays, which pins its tie order bit for bit.
+:func:`reference_trial` calls the library's stages (split, imputation,
+standardization, the clustering sweep, the samplers, the classifier's fit)
+but shares nothing between grid values or fits, and takes its distances and
+predictions from the oracles here.
 """
 
 from __future__ import annotations
@@ -14,7 +18,13 @@ import itertools
 
 import numpy as np
 
-from opfsample.cluster import ClusterForest
+from opfsample.baselines import NeighborConfig, adasyn, borderline_smote, smote
+from opfsample.classifier import OpfClassifier
+from opfsample.cluster import ClusterForest, sweep_normalized_cuts
+from opfsample.data import SplitSpec, impute_mean, split, standardize
+from opfsample.harness import TrialReport, derive_seed
+from opfsample.metrics import score
+from opfsample.oversample import allocate, gaussians_from_forest, synthesize_plan
 
 
 # --- geometry -----------------------------------------------------------
@@ -332,3 +342,65 @@ def write_dataset_csv(path, X, y, header=None, missing_cells=(), missing_token="
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+# --- the whole trial ---------------------------------------------------------
+
+
+def _reference_rows(method, train, g, n_new, seed) -> np.ndarray:
+    """``n_new`` synthetic minority rows for grid value ``g``, from nothing cached."""
+    X, y, label = train.features, train.labels, train.minority_label
+    minority = X[y == label]
+    cfg = NeighborConfig(g, seed)
+    if method == "o2pf":
+        cuts, forests = sweep_normalized_cuts(minority, g)
+        clusters = gaussians_from_forest(minority, forests[int(np.argmin(cuts))])
+        return synthesize_plan(clusters, allocate(clusters, n_new), seed)
+    if method == "smote":
+        return smote(minority, n_new, cfg)
+    if method == "borderline_smote":
+        return borderline_smote(X, y, n_new, cfg, minority_label=label)
+    return adasyn(X, y, cfg, n_new, minority_label=label)
+
+
+def _reference_fit_and_score(method, train, g, n_new, seed, part):
+    """Augment ``train`` for ``g``, fit on oracle distances, score ``part`` by full scan."""
+    X, y = train.features, train.labels
+    if g is not None and n_new > 0:
+        rows = _reference_rows(method, train, g, n_new, derive_seed(seed, g))
+        X = np.vstack([X, rows])
+        y = np.concatenate([y, np.full(len(rows), train.minority_label)])
+    model = OpfClassifier().fit(X, y, known_dist=pairwise_rows(X))
+    labels = [predict_full_scan(X, model.cost_, model.assigned_label_, x) for x in part.features]
+    n1 = int(np.count_nonzero(y == 1))
+    return score(part.labels, np.array(labels), part.minority_label), (len(y) - n1, n1)
+
+
+def reference_trial(cfg, dataset, seed: int) -> TrialReport:
+    """``run_trial(cfg, seed, dataset=dataset)`` with every grid value computed afresh.
+
+    Each grid value gets its own clustering sweep up to that value, its own
+    sampler call, its own distance matrix and its own full-scan predictions.
+    The first grid value of highest validation recall wins, and its set is
+    built and fitted again to score the test partition.
+    """
+    train_raw, val_raw, test_raw = split(dataset, SplitSpec(seed=seed))
+    train, (val, test) = impute_mean(train_raw, [val_raw, test_raw])
+    _, train, (val, test) = standardize(train, [val, test])
+    n_min = train.class_counts[train.minority_label]
+    n_maj = train.class_counts[1 - train.minority_label]
+    if cfg.balance_mode == "balance_to_majority":
+        n_new = max(0, n_maj - n_min)
+    else:
+        n_new = round(cfg.ratio * n_min)
+    grid = cfg.effective_grid
+    if n_new > 0:
+        grid = tuple(sorted({min(g, n_min - 1) for g in grid}))
+    trace = tuple(
+        (g, _reference_fit_and_score(cfg.method, train, g, n_new, seed, val)[0].recall)
+        for g in grid
+    )
+    best = max((r for _, r in trace), default=None)
+    chosen = next((g for g, r in trace if r == best), None)
+    scores, counts = _reference_fit_and_score(cfg.method, train, chosen, n_new, seed, test)
+    return TrialReport(0, seed, chosen, scores.recall, scores.accuracy, scores.f1, trace, counts)

@@ -211,6 +211,15 @@ def test_fit_rejects_distances_that_overflow():
         OpfClassifier().fit([[1e200], [-1e200], [0.0], [2e200]], [0, 1, 0, 1])
 
 
+def test_predict_rejects_distances_that_overflow():
+    model = OpfClassifier().fit([[0.0], [1.0], [5.0], [6.0]], [0, 0, 1, 1])
+    for probe in (1e300, np.inf):
+        with pytest.raises(ValueError, match="probe 0 must give finite distances"):
+            model.predict_batch([[probe]])
+    with pytest.raises(ValueError, match="probe 1 must give finite distances"):
+        model.predict_batch([[0.5], [-1e300]])
+
+
 def test_fit_with_known_prefix_equals_plain_fit():
     rng = np.random.default_rng(48)
     X = rng.normal(size=(30, 3))

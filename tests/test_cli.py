@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from opfsample.cli import main, parse_balance_mode, parse_grid
+from opfsample.data import Dataset, SplitSpec, split
 from opfsample.errors import UsageError
 from opfsample.harness import METHODS
 
@@ -194,6 +195,20 @@ def test_overflowing_training_column_is_a_data_error(tmp_path, capsys):
     assert main(["run", "--data", str(path), "--method", "none", "--trials", "1"]) == 2
     err = capsys.readouterr().err
     assert "data error:" in err and "'huge'" in err
+
+
+def test_overflowing_validation_cell_is_a_data_error(tmp_path, capsys):
+    # column b is small in training, and one validation cell is too large to scale
+    rng = np.random.default_rng(87)
+    X = rng.normal(size=(40, 2)) * 1e-3
+    y = np.tile([0, 0, 1, 0], 10)
+    # the split depends only on the labels, so a row-number column shows where rows land
+    _, val, _ = split(Dataset.from_arrays(np.c_[X, np.arange(40)], y), SplitSpec(seed=0))
+    X[int(val.features[0, -1]), 1] = 1e307
+    path = write_dataset_csv(tmp_path / "huge_val.csv", X, y, header=["a", "b"])
+    assert main(["run", "--data", str(path), "--method", "none", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "validation partition row 1, column 'b'" in err
 
 
 def test_experiment_failure_exits_3(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from opfsample import classifier, harness, oversample_to_count
 from opfsample.data import Dataset, split as data_split
-from opfsample.errors import ExperimentError
+from opfsample.errors import DataError, ExperimentError
 from opfsample.harness import (
     ExperimentConfig,
     _TrialAugmenter,
@@ -23,7 +23,7 @@ from opfsample.harness import (
     validation_trace_csv,
 )
 
-from helpers import blob_dataset, pairwise_rows
+from helpers import blob_dataset, pairwise_rows, reference_trial
 
 
 @pytest.fixture
@@ -112,7 +112,7 @@ def test_balance_postcondition(small_ds):
 
 
 def test_ratio_mode_counts(small_ds):
-    train, _, _ = data_split(small_ds, harness.SplitSpec(_cfg().ratios, 2))
+    train, _, _ = data_split(small_ds, harness.SplitSpec(seed=2))
     n_min = train.class_counts[train.minority_label]
     # ratio 0 leaves the training set unchanged; ratio 1 doubles the minority
     cfg = _cfg(trials=1, balance_mode="ratio", ratio=0.0)
@@ -124,7 +124,7 @@ def test_ratio_mode_counts(small_ds):
 
 @pytest.mark.parametrize("method", ["o2pf", "smote"])
 def test_training_rows_are_capped_before_any_work(small_ds, monkeypatch, method):
-    train, _, _ = data_split(small_ds, harness.SplitSpec(_cfg().ratios, 2))
+    train, _, _ = data_split(small_ds, harness.SplitSpec(seed=2))
     n_train, n_min = train.n_samples, train.class_counts[train.minority_label]
     cap = harness.MAX_TRAINING_ROWS
     at_cap = _TrialAugmenter(train, _cfg(method=method, balance_mode="ratio",
@@ -148,13 +148,13 @@ def test_training_rows_are_capped_before_any_work(small_ds, monkeypatch, method)
 def test_row_cap_ignores_method_none(small_ds):
     cfg = _cfg(method="none", grid=None, trials=1, balance_mode="ratio", ratio=1e308)
     report = run_trial(cfg, trial_seed=2, dataset=small_ds)
-    train, _, _ = data_split(small_ds, harness.SplitSpec(cfg.ratios, 2))
+    train, _, _ = data_split(small_ds, harness.SplitSpec(seed=2))
     assert report.augmented_counts == train.class_counts
 
 
 def test_grid_clamped_to_minority_count(small_ds):
     cfg = _cfg(grid=(5, 10, 50, 80))
-    train, _, _ = data_split(small_ds, harness.SplitSpec(cfg.ratios, 4))
+    train, _, _ = data_split(small_ds, harness.SplitSpec(seed=4))
     aug = _TrialAugmenter(train, cfg, trial_seed=4)
     grid = aug.grid()
     n_min = train.class_counts[train.minority_label]
@@ -164,7 +164,7 @@ def test_grid_clamped_to_minority_count(small_ds):
 
 def test_o2pf_augmenter_matches_oversample_to_count(small_ds):
     cfg = _cfg(grid=(2, 4, 8))
-    train, _, _ = data_split(small_ds, harness.SplitSpec(cfg.ratios, 9))
+    train, _, _ = data_split(small_ds, harness.SplitSpec(seed=9))
     aug = _TrialAugmenter(train, cfg, trial_seed=9)
     for g in aug.grid():
         expected = oversample_to_count(train, aug.n_new, g, derive_seed(9, g))
@@ -174,15 +174,8 @@ def test_o2pf_augmenter_matches_oversample_to_count(small_ds):
 
 
 def test_validation_tie_chooses_smallest_grid_value():
-    # a perfectly balanced dataset in balance mode needs no synthesis, so the
-    # augmented set (and hence the validation recall) is identical for every
-    # grid value: the tie must resolve to the smallest one
-    rng = np.random.default_rng(73)
-    X = np.vstack([rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 2.0])
-    y = np.r_[np.zeros(40, dtype=int), np.ones(40, dtype=int)]
-    ds = Dataset.from_arrays(X, y)
     cfg = _cfg(grid=(4, 7, 9), trials=1)
-    report = run_trial(cfg, trial_seed=12, dataset=ds)
+    report = run_trial(cfg, trial_seed=12, dataset=_balanced_tie_dataset())
     recalls = [r for _, r in report.validation_trace]
     assert len(set(recalls)) == 1
     assert report.chosen == 4
@@ -210,13 +203,101 @@ def test_shared_train_block_matches_row_oracle(small_ds, monkeypatch, method):
 
     monkeypatch.setattr(classifier, "pairwise_distances", spy)
     shared = run_trial(cfg, trial_seed=6, dataset=small_ds)
-    # two grid fits and the winner's refit, each offered the same training block
+    # one fit per grid value, each offered the same training block
     block = fits[0][1]
-    assert block is not None and len(fits) == 3 and all(known is block for _, known, _ in fits)
+    assert block is not None and len(fits) == 2 and all(known is block for _, known, _ in fits)
     for X, _, out in fits:
         np.testing.assert_array_equal(out.view(np.uint64), pairwise_rows(X).view(np.uint64))
     monkeypatch.setattr(classifier, "pairwise_distances", lambda X, known=None: pairwise_rows(X))
     assert run_trial(cfg, trial_seed=6, dataset=small_ds) == shared
+
+
+def _balanced_tie_dataset():
+    # a perfectly balanced dataset in balance mode needs no synthesis, so every
+    # grid value trains on the same set and ties on validation recall
+    rng = np.random.default_rng(73)
+    X = np.vstack([rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 2.0])
+    y = np.r_[np.zeros(40, dtype=int), np.ones(40, dtype=int)]
+    return Dataset.from_arrays(X, y)
+
+
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_each_grid_value_is_trained_once_and_the_winner_scores_test(small_ds, monkeypatch, method):
+    fits, probes = [], []
+    real_fit, real_predict = classifier.OpfClassifier.fit, classifier.OpfClassifier.predict_batch
+
+    def fit_spy(self, *args, **kwargs):
+        fits.append(self)
+        return real_fit(self, *args, **kwargs)
+
+    def predict_spy(self, X):
+        probes.append(self)
+        return real_predict(self, X)
+
+    monkeypatch.setattr(classifier.OpfClassifier, "fit", fit_spy)
+    monkeypatch.setattr(classifier.OpfClassifier, "predict_batch", predict_spy)
+    cases = [(small_ds, (3, 5, 8))]
+    if method != "none":
+        cases.append((_balanced_tie_dataset(), (4, 7, 9)))
+    for ds, grid in cases:
+        fits.clear()
+        probes.clear()
+        cfg = _cfg(method=method, grid=None if method == "none" else grid, trials=1)
+        report = run_trial(cfg, trial_seed=6, dataset=ds)
+        n = len(report.validation_trace)
+        assert len(fits) == max(n, 1) and len(probes) == n + 1
+        assert probes[:n] == fits[:n]  # each grid value's model scores validation
+        winner = 0 if method == "none" else grid.index(report.chosen)
+        assert probes[-1] is fits[winner]
+    if method != "none":  # the last case tied on every grid value
+        assert report.chosen == 4
+
+
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_run_trial_matches_from_scratch_reference(method):
+    # features rounded to one decimal, so distances and validation recalls tie often
+    for seed in range(6):
+        balance = dict(balance_mode="ratio", ratio=0.5) if seed % 3 == 2 else {}
+        X, y = blob_dataset(np.random.default_rng(90 + seed), n_maj=45, n_min=18, m=3, sep=1.5)
+        ds = Dataset.from_arrays(np.round(X, 1), y)
+        grid = None if method == "none" else (2, 4, 6, 30)
+        cfg = _cfg(method=method, grid=grid, trials=1, **balance)
+        assert run_trial(cfg, seed, dataset=ds) == reference_trial(cfg, ds, seed)
+
+
+def _huge_cell_dataset(partition: int, trial_seed: int, scale: float, value: float):
+    """A dataset with ``value`` in column f1 of the last row of ``partition``.
+
+    The rest of column f1 is multiplied by ``scale``. Returns the dataset
+    and that row's number within the partition.
+    """
+    X, y = blob_dataset(np.random.default_rng(74), n_maj=60, n_min=24, m=2, sep=2.0)
+    X[:, 1] *= scale
+    # the split depends only on the labels, so a row-number column shows where rows land
+    tagged = Dataset.from_arrays(np.c_[X, np.arange(len(y))], y)
+    part = data_split(tagged, harness.SplitSpec(seed=trial_seed))[partition]
+    X[int(part.features[-1, -1]), 1] = value
+    return Dataset.from_arrays(X, y), part.n_samples
+
+
+# (1e-3, 1e307): the standardized cell overflows; (1, 1e300): it is finite,
+# but its square, and so every distance to it, overflows
+@pytest.mark.parametrize("scale, value", [(1e-3, 1e307), (1.0, 1e300)])
+@pytest.mark.parametrize("partition, name", [(1, "validation"), (2, "test")])
+def test_overflowing_standardized_cell_is_a_data_error(monkeypatch, partition, name, scale, value):
+    ds, row = _huge_cell_dataset(partition, 3, scale, value)
+    selected = []
+    real_select = harness.select_hyperparameter
+
+    def select_spy(*args):
+        selected.append(True)
+        return real_select(*args)
+
+    monkeypatch.setattr(harness, "select_hyperparameter", select_spy)
+    with pytest.raises(DataError, match=f"{name} partition row {row}, column 'f1'"):
+        run_trial(_cfg(grid=(3,), trials=1), trial_seed=3, dataset=ds)
+    # the test partition is checked only once the winner is fixed
+    assert selected == ([True] if name == "test" else [])
 
 
 def test_splits_are_seed_paired_across_methods(small_ds, monkeypatch):
