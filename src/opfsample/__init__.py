@@ -26,7 +26,6 @@ from .cluster import (
 from .data import (
     Dataset,
     PreprocessStats,
-    SplitSpec,
     impute_mean,
     load_csv,
     split,
@@ -58,7 +57,7 @@ __all__ = [
     "OpfClassifier",
     "ClusterForest", "DensityMap", "KnnGraph",
     "build_knn_graph", "cluster_ift", "compute_density", "normalized_cut",
-    "Dataset", "PreprocessStats", "SplitSpec",
+    "Dataset", "PreprocessStats",
     "impute_mean", "load_csv", "split", "standardize",
     "DataError", "ExperimentError", "UsageError",
     "ComparisonReport", "ExperimentConfig", "ExperimentReport", "TrialReport",

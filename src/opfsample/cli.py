@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import harness
 from .data import load_csv
@@ -150,6 +151,17 @@ def _require_data(args) -> str:
     return args.data
 
 
+def _check_out_dir(args) -> None:
+    """Fail before any trial runs when ``--out-dir`` cannot be made a directory."""
+    if not args.out_dir:
+        return
+    for path in (Path(args.out_dir), *Path(args.out_dir).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise UsageError(f"--out-dir {args.out_dir}: {path} is not a directory")
+            return
+
+
 def _given(**values) -> dict:
     """The values that were set; the callee's own defaults fill the rest."""
     return {key: value for key, value in values.items() if value is not None}
@@ -202,6 +214,7 @@ _FORMATS = {
 
 
 def _cmd_run(args, write) -> int:
+    _check_out_dir(args)
     report = harness.run_experiment(_base_config(args, args.method))
     sys.stdout.write(write(report))
     if args.out_dir:
@@ -214,6 +227,9 @@ def _cmd_compare(args, write) -> int:
     methods = [m.strip() for m in listed.split(",") if m.strip()]
     if not methods:
         raise UsageError("--method names no method")
+    if len(set(methods)) < len(methods):
+        raise UsageError(f"--method {listed!r} names a method more than once")
+    _check_out_dir(args)
     cmp_report = harness.compare_methods([_base_config(args, m) for m in methods])
     sys.stdout.write(write(cmp_report))
     if args.out_dir:

@@ -2,9 +2,9 @@
 
 Feature matrices are float64 and labels are {0, 1}. Missing values are carried
 as NaN between loading and imputation. Every container is immutable after
-construction, so datasets and statistics can be shared freely across
-concurrent trial workers; all operations are pure functions of their inputs
-plus an explicit seed.
+construction, so one loaded dataset serves every trial of every method in a
+comparison; all operations are pure functions of their inputs plus an
+explicit seed.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import DataError, ExperimentError
 
+# (train, validation, test) shares of every split
+SPLIT_RATIOS = (0.7, 0.15, 0.15)
 _SPLIT_RETRIES = 100
 
 
@@ -131,34 +133,26 @@ class PreprocessStats:
         object.__setattr__(self, "means", _frozen(means))
         object.__setattr__(self, "stds", _frozen(stds))
 
-    @property
-    def divisors(self) -> np.ndarray:
-        return np.where(self.stds == 0, 1.0, self.stds)
+    def apply(self, part: Dataset, name: str) -> Dataset:
+        """``part`` scaled with these statistics; ``name`` names it in errors.
 
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, dtype=np.float64) - self.means) / self.divisors
-
-    def invert(self, standardized: np.ndarray) -> np.ndarray:
-        return np.asarray(standardized, dtype=np.float64) * self.divisors + self.means
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Three-way split ratios (train, validation, test) plus a seed."""
-
-    ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
-    seed: int = 0
-
-    def __post_init__(self):
-        ratios = tuple(float(r) for r in self.ratios)
-        if len(ratios) != 3:
-            raise ValueError("exactly three split ratios are required")
-        if any(not (0.0 < r < 1.0) for r in ratios):
-            raise ValueError("each split ratio must lie in (0, 1)")
-        if abs(sum(ratios) - 1.0) > 1e-9:
-            raise ValueError("split ratios must sum to 1")
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "seed", int(self.seed))
+        A missing cell, or a row whose squared norm overflows (and so would
+        overflow the classifier's distances), raises :class:`DataError`.
+        """
+        if np.isnan(part.features).any():
+            raise DataError(f"{name} partition: impute missing cells before standardizing")
+        with np.errstate(over="ignore", invalid="ignore"):
+            features = (part.features - self.means) / np.where(self.stds == 0, 1.0, self.stds)
+            too_large = ~np.isfinite(np.square(features).sum(axis=1))
+        if too_large.any():
+            i = int(np.argmax(too_large))
+            j = int(np.argmax(np.abs(features[i])))
+            raise DataError(
+                f"{name} partition row {i + 1}, column {part.feature_names[j]!r}: value "
+                f"{float(part.features[i, j])!r} is too large once standardized with the "
+                "training mean and std"
+            )
+        return part.with_features(features)
 
 
 def _parses_as_float(cell: str) -> bool:
@@ -220,28 +214,27 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
     if not data_rows:
         raise DataError(f"{path}: no data rows")
 
-    n = len(data_rows)
-    m = width - 1
-    features = np.empty((n, m), dtype=np.float64)
+    features: list[list[float]] = []
     raw_labels: list[str] = []
-    for r, (line, row) in enumerate(data_rows):
+    for line, row in data_rows:
         if len(row) != width:
             raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
-        col = 0
+        values = []
         for i, cell in enumerate(row):
             if i == label_idx:
                 raw_labels.append(cell)
                 continue
             if cell == missing_token:
-                features[r, col] = np.nan
-            elif _parses_as_float(cell):
+                values.append(math.nan)
+                continue
+            try:
                 value = float(cell)
-                if not math.isfinite(value):
-                    raise DataError(f"{path}: non-finite cell {cell!r} at row {line}, column {i + 1}")
-                features[r, col] = value
-            else:
-                raise DataError(f"{path}: unparseable cell {cell!r} at row {line}, column {i + 1}")
-            col += 1
+            except ValueError:
+                raise DataError(f"{path}: unparseable cell {cell!r} at row {line}, column {i + 1}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: non-finite cell {cell!r} at row {line}, column {i + 1}")
+            values.append(value)
+        features.append(values)
 
     distinct = sorted(set(raw_labels))
     if len(distinct) > 2:
@@ -252,7 +245,7 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
 
     if names is None:
-        names = [f"f{j}" for j in range(m)]
+        names = [f"f{j}" for j in range(width - 1)]
     return Dataset(features, labels, tuple(names), minority_label_of(labels))
 
 
@@ -280,16 +273,16 @@ def impute_mean(train: Dataset, others=()) -> tuple[Dataset, list[Dataset]]:
     return fill(train), [fill(ds) for ds in others]
 
 
-def standardize(train: Dataset, others=()) -> tuple[PreprocessStats, Dataset, list[Dataset]]:
-    """Shift/scale all partitions to zero mean and unit sample std of the training partition.
+def standardize(train: Dataset) -> tuple[PreprocessStats, Dataset]:
+    """Fit per-feature means and sample stds on ``train`` and scale it with them.
 
     Zero-variance training columns are recorded with std 0 and divided by 1,
-    so they come out identically zero on the training partition. A training
-    column whose mean or std overflows raises :class:`DataError`.
+    so they come out identically zero. A training column whose mean or std
+    overflows raises :class:`DataError`. Other partitions are scaled with
+    :meth:`PreprocessStats.apply` on the returned statistics.
     """
-    for ds in (train, *others):
-        if np.isnan(ds.features).any():
-            raise DataError("standardize requires imputation to have run first")
+    if np.isnan(train.features).any():
+        raise DataError("standardize requires imputation to have run first")
     with np.errstate(over="ignore", invalid="ignore"):
         means = train.features.mean(axis=0)
         stds = train.features.std(axis=0, ddof=1)
@@ -298,23 +291,23 @@ def standardize(train: Dataset, others=()) -> tuple[PreprocessStats, Dataset, li
         bad = [train.feature_names[j] for j in np.flatnonzero(overflowed)]
         raise DataError(f"training features too large to standardize (mean or std overflows): {bad}")
     stats = PreprocessStats(means, stds)
-    transformed = [ds.with_features(stats.apply(ds.features)) for ds in (train, *others)]
-    return stats, transformed[0], transformed[1:]
+    return stats, stats.apply(train, "training")
 
 
-def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
+def split(ds: Dataset, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Randomly partition ``ds`` into train/validation/test.
 
-    Partition sizes are floor(n * ratio) with the remainder assigned to train.
+    Partition sizes are floor(n * ratio) for the ratios of
+    :data:`SPLIT_RATIOS`, with the remainder assigned to train.
     A split that cannot succeed fails before any draw: a dataset without both
     classes raises :class:`DataError`, and one where a partition would hold
     fewer than 2 rows or a class has fewer than 3 rows raises
     :class:`ExperimentError`. Otherwise the permutation is redrawn (bounded
     retries) until every partition holds at least one sample of each class;
-    the draw sequence is fully determined by ``spec.seed``.
+    the draw sequence is fully determined by ``seed``.
     """
     n = ds.n_samples
-    sizes = [math.floor(n * r) for r in spec.ratios]
+    sizes = [math.floor(n * r) for r in SPLIT_RATIOS]
     sizes[0] += n - sum(sizes)
     counts = ds.class_counts
     if min(counts) == 0:
@@ -325,7 +318,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
             f"{tuple(sizes)} need at least 2 rows each and class counts {counts} "
             "at least 3 each"
         )
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     for _ in range(_SPLIT_RETRIES):
         perm = rng.permutation(n)
         parts = (

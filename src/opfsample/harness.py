@@ -31,8 +31,8 @@ import numpy as np
 from .baselines import NeighborConfig, adasyn, borderline_smote, smote
 from .classifier import OpfClassifier
 from .cluster import ClusterForest, pairwise_distances, sweep_normalized_cuts
-from .data import Dataset, SplitSpec, impute_mean, load_csv, split, standardize
-from .errors import DataError, ExperimentError
+from .data import SPLIT_RATIOS, Dataset, impute_mean, load_csv, split, standardize
+from .errors import ExperimentError
 from .metrics import score, wilcoxon_signed_rank
 from .oversample import allocate, append_minority_rows, gaussians_from_forest, synthesize_plan
 
@@ -283,44 +283,18 @@ def select_hyperparameter(augmenter: _TrialAugmenter, val: Dataset):
     return (chosen, *winner, tuple(trace))
 
 
-def _standardized(stats, part: Dataset, name: str) -> Dataset:
-    """``part`` scaled with the training statistics.
-
-    A row whose squared norm overflows would overflow the classifier's
-    distances, so it raises :class:`DataError` naming its largest cell.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        features = stats.apply(part.features)
-        too_large = ~np.isfinite(np.square(features).sum(axis=1))
-    if too_large.any():
-        i = int(np.argmax(too_large))
-        j = int(np.argmax(np.abs(features[i])))
-        raise DataError(
-            f"{name} partition row {i + 1}, column {part.feature_names[j]!r}: value "
-            f"{float(part.features[i, j])!r} is too large once standardized with the "
-            "training mean and std"
-        )
-    return part.with_features(features)
-
-
-def run_trial(
-    cfg: ExperimentConfig,
-    trial_seed: int,
-    *,
-    trial: int = 0,
-    dataset: Dataset | None = None,
-) -> TrialReport:
-    """Run the full pipeline once with the given split seed."""
-    ds = cfg.load_dataset() if dataset is None else dataset
-    train_raw, val_raw, test_raw = split(ds, SplitSpec(seed=trial_seed))
+def run_trial(cfg: ExperimentConfig, trial_seed: int, *, trial: int = 0,
+              dataset: Dataset) -> TrialReport:
+    """Run the full pipeline once on ``dataset`` with the given split seed."""
+    train_raw, val_raw, test_raw = split(dataset, trial_seed)
     train, (val,) = impute_mean(train_raw, [val_raw])
-    stats, train, _ = standardize(train)
-    val = _standardized(stats, val, "validation")
+    stats, train = standardize(train)
+    val = stats.apply(val, "validation")
     augmenter = _TrialAugmenter(train, cfg, trial_seed)
     chosen, model, counts, trace = select_hyperparameter(augmenter, val)
     # the test partition is first touched here, after the winner is fixed
     _, (test,) = impute_mean(train_raw, [test_raw])
-    test = _standardized(stats, test, "test")
+    test = stats.apply(test, "test")
     scores = score(test.labels, model.predict_batch(test.features), test.minority_label)
     return TrialReport(
         trial=trial,
@@ -441,7 +415,7 @@ def _csv(header: str, rows) -> str:
 def report_to_dict(report: ExperimentReport) -> dict:
     return {
         "config": {**asdict(report.config), "grid": list(report.config.effective_grid),
-                   "ratios": list(SplitSpec().ratios)},
+                   "ratios": list(SPLIT_RATIOS)},
         "summary": report.summary(),
         "trials": [asdict(t) for t in report.trials],
     }

@@ -5,10 +5,10 @@ are recomputed pairwise, path costs come from explicit path enumeration or
 fixed-point closure, ranks and sign enumerations are written from scratch.
 There are two exceptions. :func:`cluster_ift_reference` is the library's
 clustering loop on numpy arrays, which pins its tie order bit for bit.
-:func:`reference_trial` calls the library's stages (split, imputation,
-standardization, the clustering sweep, the samplers, the classifier's fit)
-but shares nothing between grid values or fits, and takes its distances and
-predictions from the oracles here.
+:func:`reference_trial` calls the library's stages (split, imputation, the
+clustering sweep, the samplers, the classifier's fit) but scales with its own
+expression, shares nothing between grid values or fits, and takes its
+distances and predictions from the oracles here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from opfsample.baselines import NeighborConfig, adasyn, borderline_smote, smote
 from opfsample.classifier import OpfClassifier
 from opfsample.cluster import ClusterForest, sweep_normalized_cuts
-from opfsample.data import SplitSpec, impute_mean, split, standardize
+from opfsample.data import impute_mean, split
 from opfsample.harness import TrialReport, derive_seed
 from opfsample.metrics import score
 from opfsample.oversample import allocate, gaussians_from_forest, synthesize_plan
@@ -376,17 +376,23 @@ def _reference_fit_and_score(method, train, g, n_new, seed, part):
     return score(part.labels, np.array(labels), part.minority_label), (len(y) - n1, n1)
 
 
-def reference_trial(cfg, dataset, seed: int) -> TrialReport:
-    """``run_trial(cfg, seed, dataset=dataset)`` with every grid value computed afresh.
+def reference_trial(cfg, dataset, seed: int, trial: int = 0) -> TrialReport:
+    """``run_trial(cfg, seed, trial=trial, dataset=dataset)``, computed from scratch.
 
-    Each grid value gets its own clustering sweep up to that value, its own
-    sampler call, its own distance matrix and its own full-scan predictions.
-    The first grid value of highest validation recall wins, and its set is
-    built and fitted again to score the test partition.
+    Every partition is scaled by the training partition's mean and sample
+    std (a zero std divides by 1). Each grid value gets its own clustering
+    sweep up to that value, its own sampler call, its own distance matrix and
+    its own full-scan predictions. The first grid value of highest validation
+    recall wins, and its set is built and fitted again to score the test
+    partition.
     """
-    train_raw, val_raw, test_raw = split(dataset, SplitSpec(seed=seed))
+    train_raw, val_raw, test_raw = split(dataset, seed)
     train, (val, test) = impute_mean(train_raw, [val_raw, test_raw])
-    _, train, (val, test) = standardize(train, [val, test])
+    mean, std = train.features.mean(axis=0), train.features.std(axis=0, ddof=1)
+    train, val, test = (
+        p.with_features((p.features - mean) / np.where(std == 0, 1, std))
+        for p in (train, val, test)
+    )
     n_min = train.class_counts[train.minority_label]
     n_maj = train.class_counts[1 - train.minority_label]
     if cfg.balance_mode == "balance_to_majority":
@@ -403,4 +409,5 @@ def reference_trial(cfg, dataset, seed: int) -> TrialReport:
     best = max((r for _, r in trace), default=None)
     chosen = next((g for g, r in trace if r == best), None)
     scores, counts = _reference_fit_and_score(cfg.method, train, chosen, n_new, seed, test)
-    return TrialReport(0, seed, chosen, scores.recall, scores.accuracy, scores.f1, trace, counts)
+    return TrialReport(trial, seed, chosen, scores.recall, scores.accuracy, scores.f1, trace,
+                       counts)

@@ -188,9 +188,9 @@ def test_criterion_6_pipeline_hygiene(monkeypatch):
     recorded = []
     real_split = harness.split
 
-    def split_spy(d, spec):
-        parts = real_split(d, spec)
-        recorded.append((spec.seed, tuple(p.features.tobytes() for p in parts)))
+    def split_spy(d, seed):
+        parts = real_split(d, seed)
+        recorded.append((seed, tuple(p.features.tobytes() for p in parts)))
         return parts
 
     monkeypatch.setattr(harness, "split", split_spy)
@@ -240,8 +240,8 @@ def test_criterion_6_pipeline_hygiene(monkeypatch):
 
     traced = []
 
-    def split_tracer(d, spec):
-        train, val, test = real_split(d, spec)
+    def split_tracer(d, seed):
+        train, val, test = real_split(d, seed)
         wrapper = TracingDataset(test)
         traced.append(wrapper)
         return train, val, wrapper

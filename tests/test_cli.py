@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from opfsample.cli import main, parse_balance_mode, parse_grid
-from opfsample.data import Dataset, SplitSpec, split
+from opfsample.data import Dataset, split
 from opfsample.errors import UsageError
 from opfsample.harness import METHODS
 
@@ -124,6 +124,8 @@ def test_usage_errors_exit_1(csv_path, capsys):
         ["run", "--seed", "-1"],
         ["compare", "--method", ""],
         ["run", "--tri", "1"],  # flags are never abbreviated
+        ["compare", "--method", "none,none"],
+        ["compare", "--method", "smote, o2pf,smote"],
     ],
 )
 def test_invalid_values_exit_1(csv_path, capsys, argv):
@@ -131,6 +133,22 @@ def test_invalid_values_exit_1(csv_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_dir_that_is_a_file_exits_1_before_any_trial(csv_path, tmp_path, capsys, command,
+                                                        below):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out_dir = taken / below if below else taken
+    argv = [command, "--data", str(csv_path), "--method", "none", "--trials", "1",
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no trial ran
+    assert captured.err == f"error: --out-dir {out_dir}: {taken} is not a directory\n"
+    assert taken.read_text() == "a file\n"
 
 
 @pytest.mark.parametrize("ratio", ["1e300", "1e308"])
@@ -203,7 +221,7 @@ def test_overflowing_validation_cell_is_a_data_error(tmp_path, capsys):
     X = rng.normal(size=(40, 2)) * 1e-3
     y = np.tile([0, 0, 1, 0], 10)
     # the split depends only on the labels, so a row-number column shows where rows land
-    _, val, _ = split(Dataset.from_arrays(np.c_[X, np.arange(40)], y), SplitSpec(seed=0))
+    _, val, _ = split(Dataset.from_arrays(np.c_[X, np.arange(40)], y), 0)
     X[int(val.features[0, -1]), 1] = 1e307
     path = write_dataset_csv(tmp_path / "huge_val.csv", X, y, header=["a", "b"])
     assert main(["run", "--data", str(path), "--method", "none", "--trials", "1"]) == 2

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from opfsample import data
 from opfsample.data import (
     Dataset,
     PreprocessStats,
-    SplitSpec,
     impute_mean,
     load_csv,
     minority_label_of,
@@ -166,7 +168,7 @@ def test_load_csv_missing_token_may_spell_a_non_finite_number(tmp_path):
 def test_split_rejects_a_single_class_dataset():
     ds = Dataset.from_arrays(np.arange(40.0).reshape(20, 2), np.zeros(20, dtype=int))
     with pytest.raises(DataError, match="both classes"):
-        split(ds, SplitSpec(seed=1))
+        split(ds, 1)
 
 
 def test_impute_mean_simple_column():
@@ -210,7 +212,7 @@ def test_impute_entirely_missing_feature_errors():
 
 def test_standardize_column_2_4_6():
     train = Dataset.from_arrays(np.array([[2.0], [4.0], [6.0]]), [0, 0, 1])
-    stats, out, _ = standardize(train)
+    stats, out = standardize(train)
     assert abs(out.features[:, 0].mean()) < 1e-9
     assert abs(out.features[:, 0].std(ddof=1) - 1.0) < 1e-9
     assert stats.means[0] == 4.0
@@ -219,7 +221,7 @@ def test_standardize_column_2_4_6():
 
 def test_standardize_constant_column_becomes_zero():
     train = Dataset.from_arrays(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), [0, 1, 1])
-    stats, out, _ = standardize(train)
+    stats, out = standardize(train)
     assert stats.stds[0] == 0.0
     np.testing.assert_array_equal(out.features[:, 0], [0.0, 0.0, 0.0])
 
@@ -227,7 +229,8 @@ def test_standardize_constant_column_becomes_zero():
 def test_standardize_applies_train_stats_to_validation():
     train = Dataset.from_arrays(np.array([[1.0], [2.0], [3.0], [6.0]]), [0, 0, 1, 1])
     val = Dataset.from_arrays(np.array([[10.0], [20.0]]), [0, 1])
-    stats, _, (out_val,) = standardize(train, [val])
+    stats, _ = standardize(train)
+    out_val = stats.apply(val, "validation")
     mean = (1 + 2 + 3 + 6) / 4
     std = (sum((v - mean) ** 2 for v in (1, 2, 3, 6)) / 3) ** 0.5
     expected = (np.array([10.0, 20.0]) - mean) / std
@@ -239,29 +242,46 @@ def test_standardize_round_trip():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(20, 4)) * rng.uniform(0.5, 4.0, size=4) + rng.normal(size=4)
     train = Dataset.from_arrays(feats, rng.integers(0, 2, 20))
-    stats, out, _ = standardize(train)
-    np.testing.assert_allclose(stats.invert(out.features), feats, atol=1e-9)
+    stats, out = standardize(train)
+    np.testing.assert_allclose(out.features * stats.stds + stats.means, feats, atol=1e-9)
 
 
 def test_standardize_requires_imputation():
     train = Dataset.from_arrays(np.array([[1.0], [np.nan]]), [0, 1])
     with pytest.raises(DataError):
         standardize(train)
+    stats = PreprocessStats(np.zeros(1), np.ones(1))
+    with pytest.raises(DataError, match="validation partition: impute missing cells"):
+        stats.apply(train, "validation")
+
+
+# (1e-3, 1e307): the scaled cell overflows; (1, 1e300): it is finite, but its
+# square, and so every distance to it, overflows
+@pytest.mark.parametrize("std, value", [(1e-3, 1e307), (1.0, 1e300)])
+def test_preprocess_stats_apply_rejects_an_overflowing_row(std, value):
+    stats = PreprocessStats(np.zeros(2), np.array([1.0, std]))
+    part = Dataset.from_arrays(np.array([[1.0, 2.0], [3.0, value], [5.0, 6.0]]), [0, 1, 0],
+                               feature_names=("a", "b"))
+    message = f"holdout partition row 2, column 'b': value {value!r} is too large"
+    with pytest.raises(DataError, match=re.escape(message)):
+        stats.apply(part, "holdout")
+    ok = stats.apply(part.with_features(np.ones((3, 2))), "holdout")
+    np.testing.assert_array_equal(ok.features, np.ones((3, 2)) / [1.0, std])
 
 
 def test_split_sizes_198():
     rng = np.random.default_rng(5)
     ds = Dataset.from_arrays(rng.normal(size=(198, 3)), np.r_[np.zeros(151), np.ones(47)])
-    train, val, test = split(ds, SplitSpec((0.7, 0.15, 0.15), seed=9))
+    train, val, test = split(ds, 9)
     assert (train.n_samples, val.n_samples, test.n_samples) == (140, 29, 29)
 
 
 def test_split_deterministic_and_seed_sensitive():
     rng = np.random.default_rng(6)
     ds = Dataset.from_arrays(rng.normal(size=(198, 3)), np.r_[np.zeros(151), np.ones(47)])
-    a = split(ds, SplitSpec(seed=4))
-    b = split(ds, SplitSpec(seed=4))
-    c = split(ds, SplitSpec(seed=5))
+    a = split(ds, 4)
+    b = split(ds, 4)
+    c = split(ds, 5)
     for pa, pb in zip(a, b):
         np.testing.assert_array_equal(pa.features, pb.features)
         np.testing.assert_array_equal(pa.labels, pb.labels)
@@ -274,7 +294,7 @@ def test_split_deterministic_and_seed_sensitive():
 def test_split_round_trip_permutation_and_class_presence():
     rng = np.random.default_rng(7)
     ds = Dataset.from_arrays(rng.normal(size=(60, 2)), rng.integers(0, 2, 60))
-    parts = split(ds, SplitSpec(seed=11))
+    parts = split(ds, 11)
     stacked = np.vstack([p.features for p in parts])
     assert stacked.shape == ds.features.shape
     original = {tuple(row) for row in ds.features}
@@ -286,29 +306,21 @@ def test_split_round_trip_permutation_and_class_presence():
         assert p.minority_label == ds.minority_label
 
 
-def test_split_retry_exhaustion():
+def test_split_retry_exhaustion(monkeypatch):
     # a single minority sample cannot appear in all three partitions
     rng = np.random.default_rng(8)
     labels = np.zeros(30, dtype=int)
     labels[0] = 1
     ds = Dataset.from_arrays(rng.normal(size=(30, 2)), labels)
     with pytest.raises(ExperimentError, match="no split can"):
-        split(ds, SplitSpec(seed=1))
-    # three minority rows can each reach a partition, but rarely do in 100 draws
+        split(ds, 1)
+    # three minority rows can each reach a 2-row partition, but rarely do in 100 draws
+    monkeypatch.setattr(data, "SPLIT_RATIOS", (0.98, 0.01, 0.01))
     labels = np.zeros(200, dtype=int)
     labels[:3] = 1
     ds = Dataset.from_arrays(np.arange(400.0).reshape(200, 2), labels)
     with pytest.raises(ExperimentError, match="retry budget"):
-        split(ds, SplitSpec((0.98, 0.01, 0.01), seed=1))
-
-
-def test_split_spec_validation():
-    with pytest.raises(ValueError):
-        SplitSpec((0.5, 0.5, 0.5))
-    with pytest.raises(ValueError):
-        SplitSpec((1.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        SplitSpec((0.7, 0.2, 0.2))
+        split(ds, 1)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -316,7 +328,7 @@ def test_split_partitions_are_disjoint_cover(seed):
     rng = np.random.default_rng(99)
     feats = np.arange(40, dtype=float).reshape(40, 1)  # distinct rows
     ds = Dataset.from_arrays(feats, np.r_[np.zeros(25), np.ones(15)])
-    parts = split(ds, SplitSpec(seed=seed))
+    parts = split(ds, seed)
     seen = np.concatenate([p.features[:, 0] for p in parts])
     assert sorted(seen) == list(range(40))
 

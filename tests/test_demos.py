@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,18 +12,30 @@ ROOT = Path(__file__).resolve().parent.parent
 WALKTHROUGHS = ("classifier", "clustering", "oversampling", "benchmark")
 
 
-@pytest.mark.parametrize("name", WALKTHROUGHS)
-def test_walkthrough_runs(name, tmp_path):
+def _run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / f"{name}_walkthrough.py")],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
-        cwd=tmp_path,
+        cwd=cwd,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("name", WALKTHROUGHS)
+def test_walkthrough_runs(name, tmp_path):
+    proc = _run_python([str(ROOT / "demos" / f"{name}_walkthrough.py")], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    proc = _run_python(["-W", "error::RuntimeWarning", "-c", block], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("k_max ")

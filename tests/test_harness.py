@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opfsample import classifier, harness, oversample_to_count
+from opfsample import classifier, cli, harness, oversample_to_count
 from opfsample.data import Dataset, split as data_split
 from opfsample.errors import DataError, ExperimentError
 from opfsample.harness import (
@@ -23,7 +23,7 @@ from opfsample.harness import (
     validation_trace_csv,
 )
 
-from helpers import blob_dataset, pairwise_rows, reference_trial
+from helpers import blob_dataset, pairwise_rows, reference_trial, write_dataset_csv
 
 
 @pytest.fixture
@@ -112,7 +112,7 @@ def test_balance_postcondition(small_ds):
 
 
 def test_ratio_mode_counts(small_ds):
-    train, _, _ = data_split(small_ds, harness.SplitSpec(seed=2))
+    train, _, _ = data_split(small_ds, 2)
     n_min = train.class_counts[train.minority_label]
     # ratio 0 leaves the training set unchanged; ratio 1 doubles the minority
     cfg = _cfg(trials=1, balance_mode="ratio", ratio=0.0)
@@ -124,7 +124,7 @@ def test_ratio_mode_counts(small_ds):
 
 @pytest.mark.parametrize("method", ["o2pf", "smote"])
 def test_training_rows_are_capped_before_any_work(small_ds, monkeypatch, method):
-    train, _, _ = data_split(small_ds, harness.SplitSpec(seed=2))
+    train, _, _ = data_split(small_ds, 2)
     n_train, n_min = train.n_samples, train.class_counts[train.minority_label]
     cap = harness.MAX_TRAINING_ROWS
     at_cap = _TrialAugmenter(train, _cfg(method=method, balance_mode="ratio",
@@ -148,13 +148,13 @@ def test_training_rows_are_capped_before_any_work(small_ds, monkeypatch, method)
 def test_row_cap_ignores_method_none(small_ds):
     cfg = _cfg(method="none", grid=None, trials=1, balance_mode="ratio", ratio=1e308)
     report = run_trial(cfg, trial_seed=2, dataset=small_ds)
-    train, _, _ = data_split(small_ds, harness.SplitSpec(seed=2))
+    train, _, _ = data_split(small_ds, 2)
     assert report.augmented_counts == train.class_counts
 
 
 def test_grid_clamped_to_minority_count(small_ds):
     cfg = _cfg(grid=(5, 10, 50, 80))
-    train, _, _ = data_split(small_ds, harness.SplitSpec(seed=4))
+    train, _, _ = data_split(small_ds, 4)
     aug = _TrialAugmenter(train, cfg, trial_seed=4)
     grid = aug.grid()
     n_min = train.class_counts[train.minority_label]
@@ -164,7 +164,7 @@ def test_grid_clamped_to_minority_count(small_ds):
 
 def test_o2pf_augmenter_matches_oversample_to_count(small_ds):
     cfg = _cfg(grid=(2, 4, 8))
-    train, _, _ = data_split(small_ds, harness.SplitSpec(seed=9))
+    train, _, _ = data_split(small_ds, 9)
     aug = _TrialAugmenter(train, cfg, trial_seed=9)
     for g in aug.grid():
         expected = oversample_to_count(train, aug.n_new, g, derive_seed(9, g))
@@ -265,6 +265,41 @@ def test_run_trial_matches_from_scratch_reference(method):
         assert run_trial(cfg, seed, dataset=ds) == reference_trial(cfg, ds, seed)
 
 
+def test_compare_report_bytes_match_the_oracle(tmp_path, monkeypatch, capsys):
+    # Every method, two trials, a few missing cells, and ties from one-decimal
+    # features. The minority class has three sub-clusters, so the sweep's
+    # least cut can fall past k = 1 and o2pf's grid values pick different forests.
+    X, y = blob_dataset(np.random.default_rng(233), n_maj=60, n_min=40, m=3, sep=1.5)
+    minority = np.flatnonzero(y == 1)
+    X[minority[::4], 1] += 3
+    X[minority[1::4], 2] += 3
+    X[minority[2::4], 1] -= 3
+    csv_path = write_dataset_csv(tmp_path / "toy.csv", np.round(X, 1), y,
+                                 missing_cells=[(0, 1), (7, 2), (30, 0)])
+
+    def compare(out_dir):
+        argv = ["compare", "--data", str(csv_path), "--trials", "2", "--seed", "3",
+                "--grid", "2:10", "--out-dir", str(tmp_path / out_dir)]
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    stdout = compare("run")
+    oracle_calls = []
+
+    def oracle(cfg, seed, *, trial, dataset):
+        oracle_calls.append((cfg.method, trial))
+        return reference_trial(cfg, dataset, seed, trial)
+
+    monkeypatch.setattr(harness, "run_trial", oracle)
+    assert compare("oracle") == stdout
+    assert len(oracle_calls) == 2 * len(harness.METHODS)
+    written = sorted(path.name for path in (tmp_path / "run").iterdir())
+    assert len(written) == 2 + 3 * len(harness.METHODS)
+    for name in written:
+        expected = (tmp_path / "run" / name).read_bytes()
+        assert (tmp_path / "oracle" / name).read_bytes() == expected, name
+
+
 def _huge_cell_dataset(partition: int, trial_seed: int, scale: float, value: float):
     """A dataset with ``value`` in column f1 of the last row of ``partition``.
 
@@ -275,7 +310,7 @@ def _huge_cell_dataset(partition: int, trial_seed: int, scale: float, value: flo
     X[:, 1] *= scale
     # the split depends only on the labels, so a row-number column shows where rows land
     tagged = Dataset.from_arrays(np.c_[X, np.arange(len(y))], y)
-    part = data_split(tagged, harness.SplitSpec(seed=trial_seed))[partition]
+    part = data_split(tagged, trial_seed)[partition]
     X[int(part.features[-1, -1]), 1] = value
     return Dataset.from_arrays(X, y), part.n_samples
 
@@ -304,9 +339,9 @@ def test_splits_are_seed_paired_across_methods(small_ds, monkeypatch):
     recorded = []
     real_split = harness.split
 
-    def spy(ds, spec):
-        parts = real_split(ds, spec)
-        recorded.append((spec.seed, tuple(p.features.tobytes() for p in parts)))
+    def spy(ds, seed):
+        parts = real_split(ds, seed)
+        recorded.append((seed, tuple(p.features.tobytes() for p in parts)))
         return parts
 
     monkeypatch.setattr(harness, "split", spy)
@@ -365,8 +400,8 @@ def test_no_test_access_before_selection_completes(small_ds, monkeypatch):
     traced = []
     real_split = harness.split
 
-    def split_spy(ds, spec):
-        train, val, test = real_split(ds, spec)
+    def split_spy(ds, seed):
+        train, val, test = real_split(ds, seed)
         wrapper = _TracingDataset(test, clock)
         traced.append(wrapper)
         return train, val, wrapper
@@ -452,9 +487,9 @@ def test_unsplittable_dataset_fails_after_one_split_call(monkeypatch):
     calls = []
     real_split = harness.split
 
-    def counted(ds, spec):
-        calls.append(spec.seed)
-        return real_split(ds, spec)
+    def counted(ds, seed):
+        calls.append(seed)
+        return real_split(ds, seed)
 
     monkeypatch.setattr(harness, "split", counted)
     # 12 rows: the validation and test partitions get one row each
