@@ -162,6 +162,17 @@ def _check_out_dir(args) -> None:
             return
 
 
+def _emit(args, write, result, write_files) -> int:
+    """Print ``result`` and write its report files; an unwritable file is a usage error."""
+    sys.stdout.write(write(result))
+    if args.out_dir:
+        try:
+            write_files(result, args.out_dir)
+        except OSError as exc:  # the error line names the path that failed
+            raise UsageError(f"cannot write {exc.filename or args.out_dir}: {exc.strerror or exc}") from None
+    return EXIT_OK
+
+
 def _given(**values) -> dict:
     """The values that were set; the callee's own defaults fill the rest."""
     return {key: value for key, value in values.items() if value is not None}
@@ -216,10 +227,7 @@ _FORMATS = {
 def _cmd_run(args, write) -> int:
     _check_out_dir(args)
     report = harness.run_experiment(_base_config(args, args.method))
-    sys.stdout.write(write(report))
-    if args.out_dir:
-        harness.write_experiment_files(report, args.out_dir)
-    return EXIT_OK
+    return _emit(args, write, report, harness.write_experiment_files)
 
 
 def _cmd_compare(args, write) -> int:
@@ -231,10 +239,7 @@ def _cmd_compare(args, write) -> int:
         raise UsageError(f"--method {listed!r} names a method more than once")
     _check_out_dir(args)
     cmp_report = harness.compare_methods([_base_config(args, m) for m in methods])
-    sys.stdout.write(write(cmp_report))
-    if args.out_dir:
-        harness.write_comparison_files(cmp_report, args.out_dir)
-    return EXIT_OK
+    return _emit(args, write, cmp_report, harness.write_comparison_files)
 
 
 def _cmd_inspect(args, write) -> int:

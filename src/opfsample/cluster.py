@@ -110,6 +110,18 @@ def _neighbor_order(dist: np.ndarray, rows: np.ndarray | None = None) -> np.ndar
     return order[order != rows[:, None]].reshape(rows.size, n - 1)
 
 
+def _checked_neighbor_order(X, k: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and neighbor order of ``X``, checked first: ``1 <= k < n``, no NaN cell."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    if not 1 <= k < n:
+        raise ValueError(f"{name} must satisfy 1 <= {name} < n, got {name}={k}, n={n}")
+    if np.isnan(X).any():
+        raise ValueError("clustering input must not contain NaN")
+    dist = pairwise_distances(X)
+    return dist, _neighbor_order(dist)
+
+
 def _graph_from_prefix(dist: np.ndarray, order: np.ndarray, k: int) -> KnnGraph:
     n = dist.shape[0]
     adj = np.zeros((n, n), dtype=bool)
@@ -125,14 +137,8 @@ def _graph_from_prefix(dist: np.ndarray, order: np.ndarray, k: int) -> KnnGraph:
 
 def build_knn_graph(X: np.ndarray, k: int) -> KnnGraph:
     """Connect each sample to its k nearest neighbors, then symmetrize."""
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    if np.isnan(X).any():
-        raise ValueError("clustering input must not contain NaN")
-    dist = pairwise_distances(X)
-    return _graph_from_prefix(dist, _neighbor_order(dist), k)
+    dist, order = _checked_neighbor_order(X, k, "k")
+    return _graph_from_prefix(dist, order, k)
 
 
 def compute_density(g: KnnGraph) -> DensityMap:
@@ -257,14 +263,7 @@ def sweep_normalized_cuts(X: np.ndarray, k_max: int) -> tuple[np.ndarray, list[C
     once and shared, so the graph for every k is identical to what
     :func:`build_knn_graph` would produce.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if not 1 <= k_max < n:
-        raise ValueError(f"k_max must satisfy 1 <= k_max < n, got k_max={k_max}, n={n}")
-    if np.isnan(X).any():
-        raise ValueError("clustering input must not contain NaN")
-    dist = pairwise_distances(X)
-    order = _neighbor_order(dist)
+    dist, order = _checked_neighbor_order(X, k_max, "k_max")
     cuts = np.empty(k_max, dtype=np.float64)
     forests: list[ClusterForest] = []
     for k in range(1, k_max + 1):

@@ -16,6 +16,10 @@ Each method is one entry of ``_METHOD_TABLE``: its default grid and its
 sampler call. ``METHODS`` lists the table's keys in order. The O²PF chain
 (least-cut forest, Gaussians, allocation, synthesis) is ``_o2pf_rows``, which
 the grid and :func:`oversample_to_count` share.
+
+Each reported statistic (recall, accuracy, F1, the chosen grid value) is one
+entry of ``_STATS``, with the trial field it is taken over and its text label.
+The summary, both text reports and the comparison CSV read that table.
 """
 
 from __future__ import annotations
@@ -74,6 +78,14 @@ _METHOD_TABLE = {
     ),
 }
 METHODS = tuple(_METHOD_TABLE)
+
+# statistic -> (TrialReport field, text label), in report order
+_STATS = {
+    "recall": ("recall", "recall"),
+    "accuracy": ("accuracy", "accuracy"),
+    "f1": ("f1", "f1"),
+    "best_param": ("chosen", "best k"),
+}
 
 
 def derive_seed(*parts: int) -> int:
@@ -152,19 +164,13 @@ class ExperimentReport:
         return np.array([t.recall for t in self.trials])
 
     def summary(self) -> dict:
+        """Mean and std of each statistic, over the trials with a value (None if none has)."""
         out = {}
-        for name in ("recall", "accuracy", "f1"):
-            vals = np.array([getattr(t, name) for t in self.trials], dtype=np.float64)
-            out[f"{name}_mean"] = float(vals.mean())
-            out[f"{name}_std"] = float(vals.std())
-        chosen = [t.chosen for t in self.trials if t.chosen is not None]
-        if chosen:
-            vals = np.array(chosen, dtype=np.float64)
-            out["best_param_mean"] = float(vals.mean())
-            out["best_param_std"] = float(vals.std())
-        else:
-            out["best_param_mean"] = None
-            out["best_param_std"] = None
+        for name, (field, _) in _STATS.items():
+            vals = np.array([v for t in self.trials if (v := getattr(t, field)) is not None],
+                            dtype=np.float64)
+            out[f"{name}_mean"] = float(vals.mean()) if vals.size else None
+            out[f"{name}_std"] = float(vals.std()) if vals.size else None
         return out
 
 
@@ -202,8 +208,8 @@ class _TrialAugmenter:
     ``k_max = g``.
 
     Every augmented set starts with the training rows in their original
-    order, so :meth:`fit` computes the training partition's distance
-    matrix once per trial, on first use, and each classifier fit extends it.
+    order, so the training partition's distance matrix :attr:`train_dist` is
+    computed once per trial, on first use, and each classifier fit extends it.
 
     No set is trained twice: the model that wins on the validation partition
     is the one that scores the test partition.
@@ -234,7 +240,6 @@ class _TrialAugmenter:
             raise ExperimentError(
                 "cannot oversample: fewer than two minority samples in the training partition"
             )
-        self._train_dist = None
 
     def grid(self) -> tuple[int, ...]:
         values = self.cfg.effective_grid
@@ -249,6 +254,11 @@ class _TrialAugmenter:
         """Normalized cut and forest for every k up to the largest grid value."""
         return sweep_normalized_cuts(self.minority_X, max(self.grid()))
 
+    @cached_property
+    def train_dist(self) -> np.ndarray:
+        """Distance matrix of the training partition, the first rows of every augmented set."""
+        return pairwise_distances(self.train.features)
+
     def augment(self, g: int | None) -> Dataset:
         if g is None or self.n_new == 0:
             return self.train
@@ -258,9 +268,7 @@ class _TrialAugmenter:
     def fit(self, g: int | None) -> tuple[OpfClassifier, tuple[int, int]]:
         """Train on the set augmented with ``g``; return the model and the set's class counts."""
         aug = self.augment(g)
-        if self._train_dist is None:
-            self._train_dist = pairwise_distances(self.train.features)
-        model = OpfClassifier().fit(aug.features, aug.labels, known_dist=self._train_dist)
+        model = OpfClassifier().fit(aug.features, aug.labels, known_dist=self.train_dist)
         return model, aug.class_counts
 
 
@@ -322,7 +330,6 @@ class SignificanceRow:
     """One method's paired comparison against the best-mean method."""
 
     method: str
-    mean_recall: float
     p_value: float
     n_effective: int
     significant: bool
@@ -352,7 +359,6 @@ def significance_rows(named_vectors) -> list[SignificanceRow]:
         rows.append(
             SignificanceRow(
                 method=name,
-                mean_recall=means[i],
                 p_value=res.p_value,
                 n_effective=res.n_effective,
                 significant=res.significant,
@@ -465,21 +471,14 @@ def comparison_to_json(cmp: ComparisonReport) -> str:
 
 
 def comparison_csv(cmp: ComparisonReport) -> str:
-    stats = (
-        "recall_mean", "recall_std", "accuracy_mean", "accuracy_std", "f1_mean", "f1_std",
-        "best_param_mean", "best_param_std",
-    )
-    return _csv(
-        ",".join(("method", *stats, "p_value_vs_best", "significant", "equivalent_to_best")),
-        (
-            (m["method"], *(m["summary"][k] for k in stats),
-             m["p_value_vs_best"], m["significant"], m["equivalent_to_best"])
-            for m in comparison_to_dict(cmp)["methods"]
-        ),
-    )
+    columns = ("method", *(f"{name}_{part}" for name in _STATS for part in ("mean", "std")),
+               "p_value_vs_best", "significant", "equivalent_to_best")
+    methods = ({**m, **m["summary"]} for m in comparison_to_dict(cmp)["methods"])
+    return _csv(",".join(columns), ([m[c] for c in columns] for m in methods))
 
 
-def _fmt(mean, std) -> str:
+def _fmt(summary: dict, name: str) -> str:
+    mean, std = summary[f"{name}_mean"], summary[f"{name}_std"]
     if mean is None:
         return "-"
     return f"{mean:.4f} +/- {std:.4f}"
@@ -488,30 +487,22 @@ def _fmt(mean, std) -> str:
 def render_report_text(report: ExperimentReport) -> str:
     s = report.summary()
     cfg = report.config
-    lines = [
-        f"method {cfg.method} on {cfg.data_path} ({cfg.trials} trials, base seed {cfg.base_seed})",
-        f"  recall    {_fmt(s['recall_mean'], s['recall_std'])}",
-        f"  accuracy  {_fmt(s['accuracy_mean'], s['accuracy_std'])}",
-        f"  f1        {_fmt(s['f1_mean'], s['f1_std'])}",
-        f"  best k    {_fmt(s['best_param_mean'], s['best_param_std'])}",
-    ]
+    lines = [f"method {cfg.method} on {cfg.data_path} ({cfg.trials} trials, base seed {cfg.base_seed})"]
+    lines += [f"  {label:<10}{_fmt(s, name)}" for name, (_, label) in _STATS.items()]
     return "\n".join(lines) + "\n"
 
 
 def render_comparison_text(cmp: ComparisonReport) -> str:
-    header = f"{'method':<18} {'recall':<20} {'accuracy':<20} {'f1':<20} {'best k':<20} {'p vs best':<12} best-group"
-    lines = [header, "-" * len(header)]
+    # column widths: method, one per statistic, p vs best, best-group (unpadded)
+    widths = (18, *(20 for _ in _STATS), 12, 0)
+    table = [["method", *(label for _, label in _STATS.values()), "p vs best", "best-group"]]
     for report, row in zip(cmp.reports, cmp.rows):
         s = report.summary()
         p = f"{row.p_value:.4f}" if row.conclusive else "n/a"
         mark = "*" if row.equivalent else ""
-        lines.append(
-            f"{row.method:<18} {_fmt(s['recall_mean'], s['recall_std']):<20} "
-            f"{_fmt(s['accuracy_mean'], s['accuracy_std']):<20} "
-            f"{_fmt(s['f1_mean'], s['f1_std']):<20} "
-            f"{_fmt(s['best_param_mean'], s['best_param_std']):<20} {p:<12} {mark}"
-        )
-    lines.append("")
+        table.append([row.method, *(_fmt(s, name) for name in _STATS), p, mark])
+    header, *rows = (" ".join(f"{c:<{w}}" for c, w in zip(cells, widths)) for cells in table)
+    lines = [header, "-" * len(header), *rows, ""]
     lines.append("* not significantly worse than the best-mean method (alpha = 0.05)")
     return "\n".join(lines) + "\n"
 

@@ -151,6 +151,19 @@ def test_out_dir_that_is_a_file_exits_1_before_any_trial(csv_path, tmp_path, cap
     assert taken.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("command, blocked", [("run", "none_report.json"),
+                                              ("compare", "comparison.json")])
+def test_report_file_that_cannot_be_written_exits_1(csv_path, tmp_path, capsys, command, blocked):
+    out_dir = tmp_path / "out"
+    (out_dir / blocked).mkdir(parents=True)
+    argv = [command, "--data", str(csv_path), "--method", "none", "--trials", "1",
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("method")  # the trials ran and stdout was written
+    assert captured.err == f"error: cannot write {out_dir / blocked}: Is a directory\n"
+
+
 @pytest.mark.parametrize("ratio", ["1e300", "1e308"])
 def test_huge_ratio_exits_3(csv_path, capsys, ratio):
     argv = ["run", "--data", str(csv_path), "--method", "smote", "--balance-mode", f"ratio:{ratio}"]
