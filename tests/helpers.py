@@ -6,9 +6,11 @@ fixed-point closure, ranks and sign enumerations are written from scratch.
 There are two exceptions. :func:`cluster_ift_reference` is the library's
 clustering loop on numpy arrays, which pins its tie order bit for bit.
 :func:`reference_trial` calls the library's stages (split, imputation, the
-clustering sweep, the samplers, the classifier's fit) but scales with its own
-expression, shares nothing between grid values or fits, and takes its
-distances and predictions from the oracles here.
+density and cut of a graph, the Gaussian draws, the classifier's fit) but
+scales with its own expression, ranks neighbors by (distance, index) with
+:func:`ranked_neighbors`, shares only its clustering sweep between grid
+values, and takes its distances, samplers and predictions from the oracles
+here.
 """
 
 from __future__ import annotations
@@ -18,13 +20,17 @@ import itertools
 
 import numpy as np
 
-from opfsample.baselines import NeighborConfig, adasyn, borderline_smote, smote
 from opfsample.classifier import OpfClassifier
-from opfsample.cluster import ClusterForest, sweep_normalized_cuts
+from opfsample.cluster import ClusterForest, KnnGraph, compute_density, normalized_cut
 from opfsample.data import impute_mean, split
 from opfsample.harness import TrialReport, derive_seed
 from opfsample.metrics import score
-from opfsample.oversample import allocate, gaussians_from_forest, synthesize_plan
+from opfsample.oversample import (
+    allocate,
+    gaussians_from_forest,
+    largest_remainder,
+    synthesize_plan,
+)
 
 
 # --- geometry -----------------------------------------------------------
@@ -178,6 +184,38 @@ def cluster_ift_reference(g, dm) -> ClusterForest:
     roots_arr = np.array(roots, dtype=np.intp)
     roots_arr.setflags(write=False)
     return ClusterForest(cost, pred, cid, roots_arr, len(roots))
+
+
+def ranked_neighbors(dist: np.ndarray, rows) -> np.ndarray:
+    """Per row in ``rows``, the other indices ordered by (distance, index).
+
+    The index is an explicit second sort key, so the order does not rest on
+    the sort being stable.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    block = dist[rows]
+    order = np.lexsort((np.broadcast_to(np.arange(block.shape[1]), block.shape), block))
+    return order[order != rows[:, None]].reshape(rows.size, -1)
+
+
+def reference_sweep(X: np.ndarray, k_max: int) -> tuple[np.ndarray, list[ClusterForest]]:
+    """``sweep_normalized_cuts(X, k_max)`` on graphs built here.
+
+    The graph at k symmetrizes every row's first k :func:`ranked_neighbors`,
+    and each forest comes from :func:`cluster_ift_reference`.
+    """
+    dist = pairwise_rows(X)
+    ranked = ranked_neighbors(dist, range(len(dist)))
+    cuts, forests = [], []
+    for k in range(1, k_max + 1):
+        adj = symmetrize([row[:k] for row in ranked])
+        neighbors = tuple(np.array(sorted(a), dtype=np.intp) for a in adj)
+        distances = tuple(dist[i, nb] for i, nb in enumerate(neighbors))
+        g = KnnGraph(k, neighbors, distances, max(float(d.max()) for d in distances))
+        forest = cluster_ift_reference(g, compute_density(g))
+        cuts.append(normalized_cut(g, forest))
+        forests.append(forest)
+    return np.array(cuts), forests
 
 
 # --- classifier cost oracles ---------------------------------------------
@@ -347,44 +385,85 @@ def write_dataset_csv(path, X, y, header=None, missing_cells=(), missing_token="
 # --- the whole trial ---------------------------------------------------------
 
 
-def _reference_rows(method, train, g, n_new, seed) -> np.ndarray:
-    """``n_new`` synthetic minority rows for grid value ``g``, from nothing cached."""
-    X, y, label = train.features, train.labels, train.minority_label
+def _reference_interpolate(X, base, kappa, rng) -> np.ndarray:
+    """Each base row of X stepped a uniform fraction toward one of its kappa nearest rows."""
+    table = ranked_neighbors(pairwise_rows(X), range(len(X)))[:, :kappa]
+    pick = rng.integers(0, kappa, base.size)
+    u = rng.random((base.size, 1))
+    return X[base] + u * (X[table[base, pick]] - X[base])
+
+
+def _reference_smote_family(method, X, y, label, kappa, n_new, seed) -> np.ndarray:
+    """SMOTE, Borderline-SMOTE (variant 1) or ADASYN, with the library's draw order.
+
+    Borderline-SMOTE seeds at minority rows with at least kappa/2 but fewer
+    than kappa majority rows among their kappa all-class neighbors; ADASYN
+    allocates by each minority row's majority share. Either falls back to
+    SMOTE when that leaves nothing to seed.
+    """
     minority = X[y == label]
-    cfg = NeighborConfig(g, seed)
-    if method == "o2pf":
-        cuts, forests = sweep_normalized_cuts(minority, g)
-        clusters = gaussians_from_forest(minority, forests[int(np.argmin(cuts))])
-        return synthesize_plan(clusters, allocate(clusters, n_new), seed)
-    if method == "smote":
-        return smote(minority, n_new, cfg)
-    if method == "borderline_smote":
-        return borderline_smote(X, y, n_new, cfg, minority_label=label)
-    return adasyn(X, y, cfg, n_new, minority_label=label)
+    rng = np.random.default_rng(seed)
+    base = np.empty(0, dtype=np.intp)
+    if method != "smote":
+        ranked = ranked_neighbors(pairwise_rows(X), np.flatnonzero(y == label))
+        counts = np.count_nonzero(y[ranked[:, :kappa]] != label, axis=1)
+        if method == "borderline_smote":
+            danger = np.flatnonzero((counts >= kappa / 2.0) & (counts < kappa))
+            if danger.size:
+                base = danger[rng.integers(0, danger.size, n_new)]
+        elif counts.any():
+            share = counts / kappa
+            per_row = largest_remainder(share / share.sum() * n_new, n_new)
+            base = np.repeat(np.arange(per_row.size), per_row)
+    if not base.size:  # SMOTE, or a fallback to it
+        base = rng.integers(0, len(minority), n_new)
+    return _reference_interpolate(minority, base, kappa, rng)
 
 
-def _reference_fit_and_score(method, train, g, n_new, seed, part):
-    """Augment ``train`` for ``g``, fit on oracle distances, score ``part`` by full scan."""
+def _reference_rows(method, train, g, n_new, seed, sweep) -> np.ndarray:
+    """``n_new`` synthetic minority rows for grid value ``g``.
+
+    O²PF reads the first ``g`` entries of ``sweep``, the trial's
+    :func:`reference_sweep`; its graph at k does not depend on how far it runs.
+    """
+    X, y, label = train.features, train.labels, train.minority_label
+    if method != "o2pf":
+        return _reference_smote_family(method, X, y, label, g, n_new, seed)
+    minority = X[y == label]
+    cuts, forests = sweep[0][:g], sweep[1][:g]
+    clusters = gaussians_from_forest(minority, forests[int(np.argmin(cuts))])
+    return synthesize_plan(clusters, allocate(clusters, n_new), seed)
+
+
+def _reference_fit_and_score(method, train, g, n_new, seed, part, sweep):
+    """Augment ``train`` for ``g``, fit on oracle distances, score ``part`` by full scan.
+
+    One :func:`pairwise_rows` pass over the training rows and the probes
+    gives both the training block and every probe's distances.
+    """
     X, y = train.features, train.labels
     if g is not None and n_new > 0:
-        rows = _reference_rows(method, train, g, n_new, derive_seed(seed, g))
+        rows = _reference_rows(method, train, g, n_new, derive_seed(seed, g), sweep)
         X = np.vstack([X, rows])
         y = np.concatenate([y, np.full(len(rows), train.minority_label)])
-    model = OpfClassifier().fit(X, y, known_dist=pairwise_rows(X))
-    labels = [predict_full_scan(X, model.cost_, model.assigned_label_, x) for x in part.features]
+    n = len(X)
+    dist = pairwise_rows(np.vstack([X, part.features]))
+    model = OpfClassifier().fit(X, y, known_dist=dist[:n, :n])
+    # full scan: the lowest index wins ties
+    labels = model.assigned_label_[np.argmin(np.maximum(model.cost_, dist[n:, :n]), axis=1)]
     n1 = int(np.count_nonzero(y == 1))
-    return score(part.labels, np.array(labels), part.minority_label), (len(y) - n1, n1)
+    return score(part.labels, labels, part.minority_label), (len(y) - n1, n1)
 
 
 def reference_trial(cfg, dataset, seed: int, trial: int = 0) -> TrialReport:
     """``run_trial(cfg, seed, trial=trial, dataset=dataset)``, computed from scratch.
 
     Every partition is scaled by the training partition's mean and sample
-    std (a zero std divides by 1). Each grid value gets its own clustering
-    sweep up to that value, its own sampler call, its own distance matrix and
-    its own full-scan predictions. The first grid value of highest validation
-    recall wins, and its set is built and fitted again to score the test
-    partition.
+    std (a zero std divides by 1). One reference clustering sweep serves
+    every grid value; each grid value gets its own sampler call, its own
+    distance matrix and its own full-scan predictions. The first grid value
+    of highest validation recall wins, and its set is built and fitted again
+    to score the test partition.
     """
     train_raw, val_raw, test_raw = split(dataset, seed)
     train, (val, test) = impute_mean(train_raw, [val_raw, test_raw])
@@ -402,12 +481,16 @@ def reference_trial(cfg, dataset, seed: int, trial: int = 0) -> TrialReport:
     grid = cfg.effective_grid
     if n_new > 0:
         grid = tuple(sorted({min(g, n_min - 1) for g in grid}))
+    sweep = None
+    if cfg.method == "o2pf" and grid and n_new > 0:
+        sweep = reference_sweep(train.features[train.labels == train.minority_label], max(grid))
     trace = tuple(
-        (g, _reference_fit_and_score(cfg.method, train, g, n_new, seed, val)[0].recall)
+        (g, _reference_fit_and_score(cfg.method, train, g, n_new, seed, val, sweep)[0].recall)
         for g in grid
     )
     best = max((r for _, r in trace), default=None)
     chosen = next((g for g, r in trace if r == best), None)
-    scores, counts = _reference_fit_and_score(cfg.method, train, chosen, n_new, seed, test)
+    scores, counts = _reference_fit_and_score(cfg.method, train, chosen, n_new, seed, test,
+                                              sweep)
     return TrialReport(trial, seed, chosen, scores.recall, scores.accuracy, scores.f1, trace,
                        counts)

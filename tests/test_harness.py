@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opfsample import classifier, cli, harness, oversample_to_count
 from opfsample.data import Dataset, split as data_split
@@ -263,6 +265,51 @@ def test_run_trial_matches_from_scratch_reference(method):
         grid = None if method == "none" else (2, 4, 6, 30)
         cfg = _cfg(method=method, grid=grid, trials=1, **balance)
         assert run_trial(cfg, seed, dataset=ds) == reference_trial(cfg, ds, seed)
+
+
+@st.composite
+def _trial_inputs(draw):
+    """A small dataset, a grid, a balance mode and a split seed.
+
+    Features sit on an integer grid, so distances tie, and some rows are
+    repeated. The minority class forms up to four sub-clusters inside the
+    majority: in two dimensions, where ties are common, or in nine, shaped
+    like the Diagnostic II set, where the least cut often falls past k = 1
+    and a cut just above zero comes before the first zero. A few cells are
+    missing, and grid values above the training minority count collapse
+    when clamped.
+    """
+    m = draw(st.sampled_from((2, 9, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if m == 2:
+        n_min = int(rng.integers(12, 41))
+        centers = rng.integers(0, 9, (draw(st.integers(1, 4)), m))
+        member = rng.choice(len(centers), n_min, p=rng.dirichlet(np.ones(len(centers))))
+    else:
+        n_min = int(rng.integers(40, 81))
+        centers = rng.uniform(4.0, 9.0, (4, m))
+        member = rng.choice(4, n_min, p=(0.4, 0.3, 0.2, 0.1))
+    minority = centers[member] + rng.normal(0.0, 0.8, (n_min, m))
+    n_maj = n_min + int(rng.integers(10, 61))
+    X = np.round(np.vstack([rng.normal(centers.mean(axis=0), 1.5, (n_maj, m)), minority]))
+    y = np.r_[np.zeros(n_maj, dtype=int), np.ones(n_min, dtype=int)]
+    repeats = rng.integers(0, len(y), draw(st.integers(0, 6)))
+    X, y = np.vstack([X, X[repeats]]), np.r_[y, y[repeats]]
+    X[rng.integers(0, len(y), draw(st.integers(0, 3))), rng.integers(0, m)] = np.nan
+    perm = rng.permutation(len(y))
+    balance = draw(st.sampled_from([{}, *({"balance_mode": "ratio", "ratio": r}
+                                          for r in (0.0, 0.5, 1.0, 1.7))]))
+    grid = tuple(int(g) for g in rng.integers(1, 41, draw(st.integers(1, 4))))
+    return Dataset.from_arrays(X[perm], y[perm]), grid, balance, draw(st.integers(0, 10_000))
+
+
+@pytest.mark.parametrize("method", harness.METHODS)
+@settings(max_examples=60, derandomize=True)
+@given(inputs=_trial_inputs())
+def test_run_trial_matches_reference_on_generated_inputs(method, inputs):
+    ds, grid, balance, seed = inputs
+    cfg = _cfg(method=method, grid=None if method == "none" else grid, trials=1, **balance)
+    assert run_trial(cfg, seed, dataset=ds) == reference_trial(cfg, ds, seed)
 
 
 def test_compare_report_bytes_match_the_oracle(tmp_path, monkeypatch, capsys):
