@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import _neighbor_order, pairwise_distances
+from .cluster import _neighbor_order, _row_distances, pairwise_distances
 from .data import minority_label_of
 from .oversample import largest_remainder
 
@@ -47,9 +47,13 @@ class NeighborConfig:
 def _neighbor_table(X: np.ndarray, k: int, rows: np.ndarray | None = None) -> np.ndarray:
     """Indices of the k nearest rows of X, per row in ``rows`` (default all).
 
-    Self is excluded and ties keep ascending index order.
+    Self is excluded and ties keep ascending index order. Given ``rows``,
+    only their distances are computed.
     """
-    return _neighbor_order(pairwise_distances(X), rows)[:, :k]
+    if rows is None:
+        return _neighbor_order(pairwise_distances(X))[:, :k]
+    block = np.array([_row_distances(X, X[i]) for i in rows])
+    return _neighbor_order(block, rows)[:, :k]
 
 
 def _check(n_min: int, kappa: int, n_new: int) -> None:
@@ -83,7 +87,7 @@ def _majority_neighbor_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per minority sample: majority count among its kappa all-class neighbors."""
     minority_idx = np.flatnonzero(y == minority)
-    # only the minority rows' neighborhoods are read, so only they are sorted
+    # only the minority rows' neighborhoods are read, so only their distances are computed
     table = _neighbor_table(np.asarray(X, dtype=np.float64), kappa, minority_idx)
     counts = np.count_nonzero(y[table] != minority, axis=1).astype(np.int64)
     return minority_idx, counts

@@ -21,6 +21,7 @@ import json
 import numpy as np
 
 from .cluster import _row_distances, pairwise_distances
+from .data import _frozen
 
 SERIAL_FORMAT_VERSION = 2
 
@@ -96,10 +97,13 @@ class OpfClassifier:
         as without it. A block that is not square with t <= n raises
         ``ValueError``, and so does a distance that overflows to inf.
         """
-        X = np.array(X, dtype=np.float64)
-        y = np.array(y, dtype=np.int64)
+        X = _frozen(X, np.float64)
+        y = np.asarray(y)
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise ValueError("X must be n x m with a matching label vector")
+        if not np.isin(y, (0, 1)).all():
+            raise ValueError("labels must take values in {0, 1}")
+        y = _frozen(y, np.int64)
         if np.isnan(X).any():
             raise ValueError("training features must not contain NaN")
         classes = np.unique(y)
@@ -114,13 +118,11 @@ class OpfClassifier:
         prototypes = np.unique(np.concatenate([cross, parent[cross]]))
         cost = _tree_minimax_costs(dist, joined, parent, prototypes)
 
-        for arr in (X, y, cost, prototypes):
-            arr.setflags(write=False)
         self.train_features_ = X
         self.train_labels_ = y
-        self.cost_ = cost
+        self.cost_ = _frozen(cost)
         self.assigned_label_ = y
-        self.prototypes_ = prototypes
+        self.prototypes_ = _frozen(prototypes)
         return self
 
     def _check_fitted(self):
@@ -173,14 +175,9 @@ class OpfClassifier:
         if version != SERIAL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {version!r}")
         model = cls()
-        arrays = {
-            "train_features_": np.array(payload["train_features"], dtype=np.float64),
-            "train_labels_": np.array(payload["train_labels"], dtype=np.int64),
-            "cost_": np.array(payload["cost"], dtype=np.float64),
-            "prototypes_": np.array(payload["prototypes"], dtype=np.intp),
-        }
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            setattr(model, name, arr)
+        model.train_features_ = _frozen(payload["train_features"], np.float64)
+        model.train_labels_ = _frozen(payload["train_labels"], np.int64)
+        model.cost_ = _frozen(payload["cost"], np.float64)
+        model.prototypes_ = _frozen(payload["prototypes"], np.intp)
         model.assigned_label_ = model.train_labels_
         return model

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _frozen
+
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
@@ -99,14 +101,14 @@ def pairwise_distances(X: np.ndarray, known: np.ndarray | None = None) -> np.nda
 
 
 def _neighbor_order(dist: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Other nodes sorted by distance, per row in ``rows`` (default all).
+    """Other nodes sorted by distance, per row r of ``dist``, node ``rows[r]`` (default r).
 
     The sort is stable and each row's own index is dropped, so equal
     distances keep ascending index order.
     """
-    n = dist.shape[0]
+    n = dist.shape[1]
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
-    order = np.argsort(dist[rows], axis=1, kind="stable")
+    order = np.argsort(dist, axis=1, kind="stable")
     return order[order != rows[:, None]].reshape(rows.size, n - 1)
 
 
@@ -127,11 +129,9 @@ def _graph_from_prefix(dist: np.ndarray, order: np.ndarray, k: int) -> KnnGraph:
     adj = np.zeros((n, n), dtype=bool)
     adj[np.arange(n)[:, None], order[:, :k]] = True
     adj |= adj.T
-    neighbors = tuple(np.flatnonzero(row) for row in adj)
-    distances = tuple(dist[i, nb] for i, nb in enumerate(neighbors))
+    neighbors = tuple(_frozen(np.flatnonzero(row)) for row in adj)
+    distances = tuple(_frozen(dist[i, nb]) for i, nb in enumerate(neighbors))
     d_max = max(float(d.max()) for d in distances)
-    for d in distances:
-        d.setflags(write=False)
     return KnnGraph(int(k), neighbors, distances, d_max)
 
 
@@ -168,8 +168,7 @@ def compute_density(g: KnnGraph) -> DensityMap:
     gaps = gaps[gaps > 0]
     # On a pure plateau any positive gap works, as long as rho - delta != rho.
     delta = float(gaps.min()) if gaps.size else max(1.0, 4.0 * float(np.spacing(rho.max())))
-    rho.setflags(write=False)
-    return DensityMap(rho, float(sigma), float(delta))
+    return DensityMap(_frozen(rho), float(sigma), float(delta))
 
 
 def cluster_ift(g: KnnGraph, dm: DensityMap) -> ClusterForest:
@@ -223,15 +222,13 @@ def cluster_ift(g: KnnGraph, dm: DensityMap) -> ClusterForest:
                 heappush(heap, (-offer, counter, j))
                 counter += 1
 
-    arrays = [
-        np.array(cost, dtype=np.float64),
-        np.array(pred, dtype=np.intp),
-        np.array(cid, dtype=np.intp),
-        np.array(roots, dtype=np.intp),
-    ]
-    for arr in arrays:
-        arr.setflags(write=False)
-    return ClusterForest(*arrays, len(roots))
+    return ClusterForest(
+        _frozen(cost, np.float64),
+        _frozen(pred, np.intp),
+        _frozen(cid, np.intp),
+        _frozen(roots, np.intp),
+        len(roots),
+    )
 
 
 def normalized_cut(g: KnnGraph, forest: ClusterForest) -> float:

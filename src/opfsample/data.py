@@ -5,6 +5,9 @@ as NaN between loading and imputation. Every container is immutable after
 construction, so one loaded dataset serves every trial of every method in a
 comparison; all operations are pure functions of their inputs plus an
 explicit seed.
+
+:func:`_frozen` is the one way a result, here or in any other module, takes
+ownership of an array: it keeps a read-only copy that no caller shares.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ SPLIT_RATIOS = (0.7, 0.15, 0.15)
 _SPLIT_RETRIES = 100
 
 
-def _frozen(arr: np.ndarray, dtype=None) -> np.ndarray:
+def _frozen(arr, dtype=None) -> np.ndarray:
+    """A read-only copy of ``arr``, cast to ``dtype`` when given."""
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -61,7 +65,6 @@ class Dataset:
             raise DataError(f"dataset too small: {n} rows x {m} features")
         if labels.shape != (n,):
             raise DataError("labels must be a vector matching the feature rows")
-        labels = labels.astype(np.int64, copy=True)
         if not np.isin(labels, (0, 1)).all():
             raise DataError("labels must take values in {0, 1}")
         if self.minority_label not in (0, 1):
@@ -70,7 +73,7 @@ class Dataset:
         if len(names) != m:
             raise DataError("feature_names length must match feature count")
         object.__setattr__(self, "features", _frozen(feats))
-        object.__setattr__(self, "labels", _frozen(labels))
+        object.__setattr__(self, "labels", _frozen(labels, np.int64))
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "minority_label", int(self.minority_label))
 

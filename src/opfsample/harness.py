@@ -472,7 +472,7 @@ def comparison_to_json(cmp: ComparisonReport) -> str:
 
 def comparison_csv(cmp: ComparisonReport) -> str:
     columns = ("method", *(f"{name}_{part}" for name in _STATS for part in ("mean", "std")),
-               "p_value_vs_best", "significant", "equivalent_to_best")
+               "p_value_vs_best", "significant", "equivalent_to_best", "n_effective", "conclusive")
     methods = ({**m, **m["summary"]} for m in comparison_to_dict(cmp)["methods"])
     return _csv(",".join(columns), ([m[c] for c in columns] for m in methods))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterForest
-from .data import Dataset
+from .data import Dataset, _frozen
 
 
 @dataclass(frozen=True)
@@ -28,18 +28,16 @@ class ClusterGaussian:
     member_indices: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        sig = np.asarray(self.sigma_mat, dtype=np.float64)
+        mu = _frozen(self.mu, np.float64)
+        sig = _frozen(self.sigma_mat, np.float64)
         m = mu.shape[0]
         if sig.shape != (m, m):
             raise ValueError("covariance shape does not match the mean")
         if not np.allclose(sig, sig.T, atol=1e-9):
             raise ValueError("covariance must be symmetric")
-        members = np.asarray(self.member_indices, dtype=np.intp)
+        members = _frozen(self.member_indices, np.intp)
         if self.count != members.size or self.count < 1:
             raise ValueError("count must equal the number of member indices (>= 1)")
-        for arr in (mu, sig, members):
-            arr.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma_mat", sig)
         object.__setattr__(self, "count", int(self.count))

@@ -4,6 +4,7 @@ import pytest
 from opfsample.baselines import (
     NeighborConfig,
     _majority_neighbor_counts,
+    _neighbor_table,
     adasyn,
     adasyn_allocation,
     borderline_danger_mask,
@@ -91,6 +92,15 @@ def test_majority_neighbor_counts_match_brute_force():
         np.testing.assert_array_equal(idx, minority)
         assert counts.dtype == np.int64
         assert counts.tolist() == [sum(int(y[j] != 1) for j in knn[i]) for i in minority]
+
+
+def test_neighbor_table_of_some_rows_matches_the_full_table():
+    # integer cells, so many distances tie and the order rests on the index
+    rng = np.random.default_rng(64)
+    X = rng.integers(0, 4, size=(40, 3)).astype(np.float64)
+    rows = np.flatnonzero(rng.random(40) < 0.3)
+    for k in (1, 5, 39):
+        np.testing.assert_array_equal(_neighbor_table(X, k, rows), _neighbor_table(X, k)[rows])
 
 
 def test_borderline_danger_classification():

@@ -205,6 +205,22 @@ def test_fit_and_predict_errors():
         OpfClassifier().predict(np.array([0.0, 0.0]))  # not fitted
 
 
+def test_fit_rejects_labels_outside_zero_one():
+    # a cast would have read these as 0, 1, 0, 1
+    with pytest.raises(ValueError, match="labels must take values"):
+        OpfClassifier().fit([[0.0], [1.0], [2.0], [3.0]], [0.4, 1.6, 0.0, 1.0])
+
+
+def test_fitted_and_loaded_models_hold_read_only_copies():
+    X, y = np.array([[0.0], [1.0], [5.0], [6.0]]), np.array([0, 0, 1, 1])
+    model = OpfClassifier().fit(X, y)
+    assert X.flags.writeable and y.flags.writeable
+    for m in (model, OpfClassifier.from_json(model.to_json())):
+        for arr in (m.train_features_, m.train_labels_, m.cost_, m.assigned_label_, m.prototypes_):
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, X) and not np.shares_memory(arr, y)
+
+
 def test_fit_rejects_distances_that_overflow():
     # each feature is finite, but squared differences overflow to inf
     with pytest.raises(ValueError, match="finite pairwise distances"):

@@ -432,4 +432,6 @@ def test_any_small_csv_ends_in_a_documented_exit_code(csv_fuzz_dir, content):
     data = ["--data", str(path)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["inspect", *data]) in (0, 1, 2, 3)
-        assert main(["run", *data, "--method", "none", "--trials", "1"]) in (0, 1, 2, 3)
+        for method in METHODS:
+            grid = [] if method == "none" else ["--grid", "1,2"]
+            assert main(["run", *data, "--method", method, "--trials", "1", *grid]) in (0, 1, 2, 3)

@@ -46,6 +46,18 @@ def test_pairwise_distances_bitwise_equal_row_oracle(seed, n, m, dup_share, zero
         np.testing.assert_array_equal(extended.view(np.uint64), full)
 
 
+def test_clustering_results_hold_read_only_arrays():
+    X = np.random.default_rng(5).normal(size=(12, 2))
+    g = build_knn_graph(X, 3)
+    dm = compute_density(g)
+    forest = cluster_ift(g, dm)
+    held = (*g.neighbors, *g.distances, dm.rho,
+            forest.cost, forest.pred, forest.cluster_id, forest.roots)
+    for arr in held:
+        assert not arr.flags.writeable
+        assert not np.shares_memory(arr, X)
+
+
 def forest_for(X, k):
     g = build_knn_graph(X, k)
     dm = compute_density(g)

@@ -39,6 +39,23 @@ def test_dataset_validation():
         ds.features[0, 0] = 5.0  # immutable
 
 
+def test_labels_are_checked_before_the_cast():
+    # a cast would have read these as 0, 1, 0
+    with pytest.raises(DataError, match="labels must take values"):
+        Dataset.from_arrays(np.zeros((3, 1)), np.array([0.5, 1.7, 0.0]))
+
+
+def test_dataset_and_stats_hold_read_only_copies():
+    feats, labels = np.zeros((3, 2)), np.array([0, 1, 1])
+    means, stds = np.zeros(2), np.ones(2)
+    ds, stats = Dataset.from_arrays(feats, labels), PreprocessStats(means, stds)
+    for given_arr, held in ((feats, ds.features), (labels, ds.labels),
+                            (means, stats.means), (stds, stats.stds)):
+        assert given_arr.flags.writeable
+        assert not held.flags.writeable
+        assert not np.shares_memory(given_arr, held)
+
+
 def test_load_csv_counts_minority_fraction(tmp_path):
     # mirrors the real prognostic task's class balance: 151 vs 47
     rng = np.random.default_rng(0)

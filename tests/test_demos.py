@@ -9,7 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # prepare_uci.py needs the UCI source files, so it is not run here
-WALKTHROUGHS = ("classifier", "clustering", "oversampling", "benchmark")
+WALKTHROUGHS = sorted(p.name.removesuffix("_walkthrough.py")
+                      for p in (ROOT / "demos").glob("*_walkthrough.py"))
 
 
 def _run_python(args, cwd):
@@ -27,9 +28,11 @@ def _run_python(args, cwd):
     )
 
 
+# each walkthrough writes only to its own temporary directory
 @pytest.mark.parametrize("name", WALKTHROUGHS)
 def test_walkthrough_runs(name, tmp_path):
-    proc = _run_python([str(ROOT / "demos" / f"{name}_walkthrough.py")], tmp_path)
+    script = ROOT / "demos" / f"{name}_walkthrough.py"
+    proc = _run_python(["-W", "error::RuntimeWarning", str(script)], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -196,7 +196,7 @@ def test_import_and_load_leave_scipy_unloaded(tmp_path):
     X, y = blob_dataset(np.random.default_rng(17), n_maj=30, n_min=10, m=3)
     csv = write_dataset_csv(tmp_path / "toy.csv", X, y)
     script = (
-        "import sys, numpy as np, opfsample\n"
+        "import sys, numpy as np, opfsample, opfsample.cli\n"
         "def scipy_loaded():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         f"opfsample.load_csv({str(csv)!r})\n"

@@ -44,6 +44,17 @@ def test_singleton_cluster_zero_covariance():
         np.testing.assert_array_equal(singletons[0].mu, X[singletons[0].member_indices[0]])
 
 
+def test_cluster_gaussian_holds_read_only_copies_of_its_arguments():
+    mu, sigma, members = np.zeros(2), np.eye(2), np.array([3, 7])
+    cg = ClusterGaussian(mu, sigma, 2, members)
+    for given_arr, held in ((mu, cg.mu), (sigma, cg.sigma_mat), (members, cg.member_indices)):
+        assert given_arr.flags.writeable
+        assert not held.flags.writeable
+        assert not np.shares_memory(given_arr, held)
+    mu[0] = 5.0
+    assert cg.mu[0] == 0.0
+
+
 def test_covariance_matches_two_pass_oracle():
     rng = np.random.default_rng(51)
     X = rng.normal(size=(30, 4))
