@@ -40,7 +40,7 @@ class NeighborConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kappa < 1:
+        if not isinstance(self.kappa, (int, np.integer)) or self.kappa < 1:
             raise ValueError("kappa must be a positive integer")
 
 

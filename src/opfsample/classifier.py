@@ -12,6 +12,9 @@ sample.
 
 Fits that share their leading training rows can share the distances among
 those rows: ``fit`` takes them as ``known_dist`` and computes only the rest.
+``fit`` is the one way a model gets its state: loading a JSON blob refits on
+the stored rows and labels (O(n²)) and rejects a blob whose stored costs or
+prototypes disagree with that fit.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def _tree_minimax_costs(dist: np.ndarray, joined, parent, sources: np.ndarray) -
 class OpfClassifier:
     """Optimum-path forest classifier for binary labels.
 
-    Fitted attributes (all immutable arrays):
+    Fitted attributes (all immutable arrays, set by :meth:`fit` alone):
 
     - ``train_features_``, ``train_labels_``: the training data as given.
     - ``cost_``: per-sample optimum path cost (0 at prototypes).
@@ -80,13 +83,6 @@ class OpfClassifier:
       sample keeps its own, so this is ``train_labels_``.
     - ``prototypes_``: sorted indices of the MST-elected prototypes.
     """
-
-    def __init__(self):
-        self.train_features_ = None
-        self.train_labels_ = None
-        self.cost_ = None
-        self.assigned_label_ = None
-        self.prototypes_ = None
 
     def fit(self, X, y, known_dist=None) -> "OpfClassifier":
         """Train on ``X`` and binary labels ``y``.
@@ -126,7 +122,7 @@ class OpfClassifier:
         return self
 
     def _check_fitted(self):
-        if self.cost_ is None:
+        if not hasattr(self, "cost_"):
             raise ValueError("classifier is not fitted")
 
     def predict(self, x) -> int:
@@ -174,10 +170,8 @@ class OpfClassifier:
         version = payload.get("format_version")
         if version != SERIAL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {version!r}")
-        model = cls()
-        model.train_features_ = _frozen(payload["train_features"], np.float64)
-        model.train_labels_ = _frozen(payload["train_labels"], np.int64)
-        model.cost_ = _frozen(payload["cost"], np.float64)
-        model.prototypes_ = _frozen(payload["prototypes"], np.intp)
-        model.assigned_label_ = model.train_labels_
+        model = cls().fit(payload["train_features"], payload["train_labels"])
+        for name in ("cost", "prototypes"):
+            if not np.array_equal(getattr(model, f"{name}_"), payload[name]):
+                raise ValueError(f"stored {name} disagrees with a fit on the stored rows and labels")
         return model

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _frozen
+from .data import _own
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -27,12 +27,17 @@ class KnnGraph:
     ``neighbors[i]`` lists adjacent node indices in ascending order;
     ``distances[i]`` is aligned with it. ``k`` is the nominal neighborhood
     size before symmetrization (symmetrization only ever adds arcs).
+    ``d_max`` is the longest arc.
     """
 
     k: int
     neighbors: tuple[np.ndarray, ...]
     distances: tuple[np.ndarray, ...]
-    d_max: float
+    d_max: float = field(init=False)
+
+    def __post_init__(self):
+        _own(self, neighbors=np.intp, distances=np.float64)
+        object.__setattr__(self, "d_max", max(float(d.max()) for d in self.distances))
 
     @property
     def n_nodes(self) -> int:
@@ -47,6 +52,9 @@ class DensityMap:
     sigma: float
     delta: float
 
+    def __post_init__(self):
+        _own(self, rho=np.float64)
+
 
 @dataclass(frozen=True)
 class ClusterForest:
@@ -60,7 +68,11 @@ class ClusterForest:
     pred: np.ndarray
     cluster_id: np.ndarray
     roots: np.ndarray
-    num_clusters: int
+    num_clusters: int = field(init=False)
+
+    def __post_init__(self):
+        _own(self, cost=np.float64, pred=np.intp, cluster_id=np.intp, roots=np.intp)
+        object.__setattr__(self, "num_clusters", int(self.roots.size))
 
 
 def _row_distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -129,10 +141,8 @@ def _graph_from_prefix(dist: np.ndarray, order: np.ndarray, k: int) -> KnnGraph:
     adj = np.zeros((n, n), dtype=bool)
     adj[np.arange(n)[:, None], order[:, :k]] = True
     adj |= adj.T
-    neighbors = tuple(_frozen(np.flatnonzero(row)) for row in adj)
-    distances = tuple(_frozen(dist[i, nb]) for i, nb in enumerate(neighbors))
-    d_max = max(float(d.max()) for d in distances)
-    return KnnGraph(int(k), neighbors, distances, d_max)
+    neighbors = tuple(np.flatnonzero(row) for row in adj)
+    return KnnGraph(int(k), neighbors, tuple(dist[i, nb] for i, nb in enumerate(neighbors)))
 
 
 def build_knn_graph(X: np.ndarray, k: int) -> KnnGraph:
@@ -168,7 +178,7 @@ def compute_density(g: KnnGraph) -> DensityMap:
     gaps = gaps[gaps > 0]
     # On a pure plateau any positive gap works, as long as rho - delta != rho.
     delta = float(gaps.min()) if gaps.size else max(1.0, 4.0 * float(np.spacing(rho.max())))
-    return DensityMap(_frozen(rho), float(sigma), float(delta))
+    return DensityMap(rho, float(sigma), float(delta))
 
 
 def cluster_ift(g: KnnGraph, dm: DensityMap) -> ClusterForest:
@@ -222,13 +232,7 @@ def cluster_ift(g: KnnGraph, dm: DensityMap) -> ClusterForest:
                 heappush(heap, (-offer, counter, j))
                 counter += 1
 
-    return ClusterForest(
-        _frozen(cost, np.float64),
-        _frozen(pred, np.intp),
-        _frozen(cid, np.intp),
-        _frozen(roots, np.intp),
-        len(roots),
-    )
+    return ClusterForest(cost, pred, cid, roots)
 
 
 def normalized_cut(g: KnnGraph, forest: ClusterForest) -> float:

@@ -6,8 +6,8 @@ construction, so one loaded dataset serves every trial of every method in a
 comparison; all operations are pure functions of their inputs plus an
 explicit seed.
 
-:func:`_frozen` is the one way a result, here or in any other module, takes
-ownership of an array: it keeps a read-only copy that no caller shares.
+:func:`_own` is the one way a result type, here or in any other module, takes
+ownership of its arrays: a :func:`_frozen` read-only copy that no caller shares.
 """
 
 from __future__ import annotations
@@ -30,6 +30,17 @@ def _frozen(arr, dtype=None) -> np.ndarray:
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _own(obj, **dtypes) -> None:
+    """Swap each named array (or tuple of arrays) field of ``obj`` for a :func:`_frozen` copy in its dtype."""
+    for name, dtype in dtypes.items():
+        value = getattr(obj, name)
+        if isinstance(value, tuple):
+            value = tuple(_frozen(v, dtype) for v in value)
+        else:
+            value = _frozen(value, dtype)
+        object.__setattr__(obj, name, value)
 
 
 def minority_label_of(labels) -> int:
@@ -56,11 +67,11 @@ class Dataset:
     minority_label: int
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        _own(self, features=np.float64)
         labels = np.asarray(self.labels)
-        if feats.ndim != 2:
+        if self.features.ndim != 2:
             raise DataError("features must be a 2-D matrix")
-        n, m = feats.shape
+        n, m = self.features.shape
         if n < 2 or m < 1:
             raise DataError(f"dataset too small: {n} rows x {m} features")
         if labels.shape != (n,):
@@ -72,8 +83,7 @@ class Dataset:
         names = tuple(str(name) for name in self.feature_names)
         if len(names) != m:
             raise DataError("feature_names length must match feature count")
-        object.__setattr__(self, "features", _frozen(feats))
-        object.__setattr__(self, "labels", _frozen(labels, np.int64))
+        _own(self, labels=np.int64)
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "minority_label", int(self.minority_label))
 
@@ -81,7 +91,7 @@ class Dataset:
     def from_arrays(cls, features, labels, feature_names=None, minority_label=None) -> "Dataset":
         features = np.asarray(features, dtype=np.float64)
         if feature_names is None:
-            feature_names = tuple(f"f{j}" for j in range(features.shape[1]))
+            feature_names = tuple(f"f{j}" for j in range(features.shape[1] if features.ndim == 2 else 0))
         if minority_label is None:
             minority_label = minority_label_of(labels)
         return cls(features, np.asarray(labels), tuple(feature_names), minority_label)
@@ -127,14 +137,11 @@ class PreprocessStats:
     stds: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        stds = np.asarray(self.stds, dtype=np.float64)
-        if means.shape != stds.shape or means.ndim != 1:
+        _own(self, means=np.float64, stds=np.float64)
+        if self.means.shape != self.stds.shape or self.means.ndim != 1:
             raise ValueError("means and stds must be matching vectors")
-        if (stds < 0).any():
+        if (self.stds < 0).any():
             raise ValueError("standard deviations must be nonnegative")
-        object.__setattr__(self, "means", _frozen(means))
-        object.__setattr__(self, "stds", _frozen(stds))
 
     def apply(self, part: Dataset, name: str) -> Dataset:
         """``part`` scaled with these statistics; ``name`` names it in errors.

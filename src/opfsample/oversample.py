@@ -10,38 +10,33 @@ untouched. The chain that picks the clustering is ``harness._o2pf_rows``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cluster import ClusterForest
-from .data import Dataset, _frozen
+from .data import Dataset, _own
 
 
 @dataclass(frozen=True)
 class ClusterGaussian:
-    """Gaussian fitted to one cluster: mean, covariance, and its members."""
+    """Gaussian fitted to one cluster: mean, covariance, and its members, ``count`` of them."""
 
     mu: np.ndarray
     sigma_mat: np.ndarray
-    count: int
+    count: int = field(init=False)
     member_indices: np.ndarray
 
     def __post_init__(self):
-        mu = _frozen(self.mu, np.float64)
-        sig = _frozen(self.sigma_mat, np.float64)
-        m = mu.shape[0]
-        if sig.shape != (m, m):
+        _own(self, mu=np.float64, sigma_mat=np.float64, member_indices=np.intp)
+        m = self.mu.shape[0]
+        if self.sigma_mat.shape != (m, m):
             raise ValueError("covariance shape does not match the mean")
-        if not np.allclose(sig, sig.T, atol=1e-9):
+        if not np.allclose(self.sigma_mat, self.sigma_mat.T, atol=1e-9):
             raise ValueError("covariance must be symmetric")
-        members = _frozen(self.member_indices, np.intp)
-        if self.count != members.size or self.count < 1:
-            raise ValueError("count must equal the number of member indices (>= 1)")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma_mat", sig)
-        object.__setattr__(self, "count", int(self.count))
-        object.__setattr__(self, "member_indices", members)
+        if self.member_indices.size < 1:
+            raise ValueError("a cluster needs at least one member index")
+        object.__setattr__(self, "count", int(self.member_indices.size))
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,7 @@ def gaussians_from_forest(minority_X: np.ndarray, forest: ClusterForest) -> list
             centered = rows - mu
             sigma = centered.T @ centered / (members.size - 1)
             sigma = (sigma + sigma.T) / 2.0
-        out.append(ClusterGaussian(mu, sigma, members.size, members))
+        out.append(ClusterGaussian(mu, sigma, members))
     return out
 
 

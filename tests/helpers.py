@@ -183,7 +183,7 @@ def cluster_ift_reference(g, dm) -> ClusterForest:
     cid.setflags(write=False)
     roots_arr = np.array(roots, dtype=np.intp)
     roots_arr.setflags(write=False)
-    return ClusterForest(cost, pred, cid, roots_arr, len(roots))
+    return ClusterForest(cost, pred, cid, roots_arr)
 
 
 def ranked_neighbors(dist: np.ndarray, rows) -> np.ndarray:
@@ -211,7 +211,7 @@ def reference_sweep(X: np.ndarray, k_max: int) -> tuple[np.ndarray, list[Cluster
         adj = symmetrize([row[:k] for row in ranked])
         neighbors = tuple(np.array(sorted(a), dtype=np.intp) for a in adj)
         distances = tuple(dist[i, nb] for i, nb in enumerate(neighbors))
-        g = KnnGraph(k, neighbors, distances, max(float(d.max()) for d in distances))
+        g = KnnGraph(k, neighbors, distances)
         forest = cluster_ift_reference(g, compute_density(g))
         cuts.append(normalized_cut(g, forest))
         forests.append(forest)

@@ -96,13 +96,13 @@ def test_criterion_3_sampler_statistics():
     A = np.array([[1.2, 0.3, 0.0], [-0.4, 0.9, 0.2], [0.1, 0.0, 1.5]])
     cov = A @ A.T
     mu = np.array([2.0, -1.0, 0.5])
-    cg = ClusterGaussian(mu, cov, 7, np.arange(7))
+    cg = ClusterGaussian(mu, cov, np.arange(7))
     draws = synthesize(cg, 10_000, seed=2024)
     sigma = np.sqrt(np.diag(cov))
     assert (np.abs(draws.mean(axis=0) - mu) < 5 * sigma / 100).all()
     emp = two_pass_covariance(draws)
     assert np.abs(emp - cov).max() < 0.1
-    degenerate = ClusterGaussian(mu, np.zeros((3, 3)), 2, np.arange(2))
+    degenerate = ClusterGaussian(mu, np.zeros((3, 3)), np.arange(2))
     copies = synthesize(degenerate, 100, seed=7)
     np.testing.assert_array_equal(copies, np.tile(mu, (100, 1)))
     assert time.perf_counter() - start < 5.0

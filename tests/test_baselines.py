@@ -71,6 +71,15 @@ def test_smote_deterministic_and_kappa_range():
         NeighborConfig(kappa=0, seed=3)
 
 
+def test_neighbor_config_takes_only_integer_kappa():
+    for kappa in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="kappa must be a positive integer"):
+            NeighborConfig(kappa)
+    X = np.random.default_rng(62).normal(size=(6, 2))
+    for kappa in (2, np.int64(2), np.int32(2)):
+        assert smote(X, 4, NeighborConfig(kappa, seed=3)).shape == (4, 2)
+
+
 # 8-point borderline fixture, kappa=2. Minority rows in order:
 #   A danger (neighbors: one majority, one minority)
 #   B, C, D safe (pure minority neighborhoods)

@@ -191,6 +191,28 @@ def test_serialization_rejects_unknown_version():
             OpfClassifier.from_json(bad)
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda p: p.update(train_labels=[0, 0, 7, 1]),
+        lambda p: p.update(train_labels=[0.5, 0, 1.7, 1]),
+        lambda p: p.update(cost=p["cost"][:1]),
+        lambda p: p["cost"].__setitem__(-1, p["cost"][-1] + 0.5),
+        lambda p: p.update(prototypes=[0, 3]),
+        lambda p: p["train_features"].__setitem__(1, [float("nan")]),
+        lambda p: p.update(train_labels=[1, 1, 1, 1]),
+    ],
+    ids=["label-7", "fractional-labels", "short-cost", "changed-cost",
+         "changed-prototypes", "nan-feature", "single-class"],
+)
+def test_from_json_rejects_a_blob_that_a_fit_disagrees_with(tamper):
+    X, y = np.array([[0.0], [1.0], [5.0], [6.0]]), np.array([0, 0, 1, 1])
+    payload = json.loads(OpfClassifier().fit(X, y).to_json())
+    tamper(payload)
+    with pytest.raises(ValueError):
+        OpfClassifier.from_json(json.dumps(payload))
+
+
 def test_fit_and_predict_errors():
     with pytest.raises(ValueError):
         OpfClassifier().fit(np.zeros((3, 2)), [0, 0, 0])  # single class

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from opfsample.cluster import (
     ClusterForest,
+    DensityMap,
+    KnnGraph,
     build_knn_graph,
     cluster_ift,
     compute_density,
@@ -56,6 +58,37 @@ def test_clustering_results_hold_read_only_arrays():
     for arr in held:
         assert not arr.flags.writeable
         assert not np.shares_memory(arr, X)
+    # built by hand from writable arrays, each type still holds its own copies
+    neighbors = (np.array([1]), np.array([0]))
+    distances = (np.array([2.0]), np.array([2.0]))
+    rho, cost, pred = np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([-1, 0])
+    cid, roots = np.array([0, 0]), np.array([0])
+    g = KnnGraph(1, neighbors, distances)
+    dm = DensityMap(rho, 1.0, 0.1)
+    forest = ClusterForest(cost, pred, cid, roots)
+    args = (*neighbors, *distances, rho, cost, pred, cid, roots)
+    held = (*g.neighbors, *g.distances, dm.rho,
+            forest.cost, forest.pred, forest.cluster_id, forest.roots)
+    for arg, arr in zip(args, held):
+        assert arg.flags.writeable
+        assert not arr.flags.writeable
+        assert not np.shares_memory(arr, arg)
+        np.testing.assert_array_equal(arr, arg)
+
+
+def test_graph_and_forest_derive_d_max_and_num_clusters():
+    X = np.random.default_rng(6).normal(size=(15, 2))
+    g, _, forest = forest_for(X, 3)
+    assert g.d_max == max(float(d.max()) for d in g.distances)
+    assert forest.num_clusters == forest.roots.size
+    with pytest.raises(TypeError):
+        KnnGraph(g.k, g.neighbors, g.distances, g.d_max)
+    with pytest.raises(TypeError):
+        ClusterForest(forest.cost, forest.pred, forest.cluster_id, forest.roots, 3)
+    with pytest.raises(TypeError):
+        KnnGraph(g.k, g.neighbors, g.distances, d_max=0.5)
+    with pytest.raises(TypeError):
+        ClusterForest(forest.cost, forest.pred, forest.cluster_id, forest.roots, num_clusters=3)
 
 
 def forest_for(X, k):
@@ -247,7 +280,7 @@ def _forest_with_labels(labels):
     c = int(labels.max()) + 1
     roots = np.array([int(np.flatnonzero(labels == ci)[0]) for ci in range(c)], dtype=np.intp)
     return ClusterForest(np.zeros(len(labels)), np.full(len(labels), -1, dtype=np.intp),
-                         labels, roots, c)
+                         labels, roots)
 
 
 def test_normalized_cut_single_cluster_zero():

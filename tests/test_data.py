@@ -39,6 +39,12 @@ def test_dataset_validation():
         ds.features[0, 0] = 5.0  # immutable
 
 
+def test_from_arrays_reports_a_feature_array_that_is_not_a_matrix():
+    for features in (np.zeros(4), np.zeros(()), np.zeros((4, 1, 1))):
+        with pytest.raises(DataError, match="features must be a 2-D matrix"):
+            Dataset.from_arrays(features, [0, 1, 0, 1])
+
+
 def test_labels_are_checked_before_the_cast():
     # a cast would have read these as 0, 1, 0
     with pytest.raises(DataError, match="labels must take values"):

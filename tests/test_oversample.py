@@ -46,13 +46,24 @@ def test_singleton_cluster_zero_covariance():
 
 def test_cluster_gaussian_holds_read_only_copies_of_its_arguments():
     mu, sigma, members = np.zeros(2), np.eye(2), np.array([3, 7])
-    cg = ClusterGaussian(mu, sigma, 2, members)
+    cg = ClusterGaussian(mu, sigma, members)
     for given_arr, held in ((mu, cg.mu), (sigma, cg.sigma_mat), (members, cg.member_indices)):
         assert given_arr.flags.writeable
         assert not held.flags.writeable
         assert not np.shares_memory(given_arr, held)
     mu[0] = 5.0
     assert cg.mu[0] == 0.0
+
+
+def test_cluster_gaussian_counts_its_members():
+    members = np.array([3, 7, 9])
+    assert ClusterGaussian(np.zeros(2), np.eye(2), members).count == members.size
+    with pytest.raises(TypeError):
+        ClusterGaussian(np.zeros(2), np.eye(2), 2, members)
+    with pytest.raises(TypeError):
+        ClusterGaussian(np.zeros(2), np.eye(2), members, count=2)
+    with pytest.raises(ValueError, match="at least one member"):
+        ClusterGaussian(np.zeros(2), np.eye(2), np.arange(0))
 
 
 def test_covariance_matches_two_pass_oracle():
@@ -80,7 +91,7 @@ def test_fit_minority_requires_two_samples():
 
 def _gaussians(sizes):
     return [
-        ClusterGaussian(np.zeros(2), np.zeros((2, 2)), s, np.arange(s))
+        ClusterGaussian(np.zeros(2), np.zeros((2, 2)), np.arange(s))
         for s in sizes
     ]
 
@@ -119,7 +130,7 @@ def test_synthesize_plan_rejects_an_empty_cluster_list():
 
 
 def test_synthesize_zero_covariance_copies():
-    cg = ClusterGaussian(np.array([2.0, -1.0]), np.zeros((2, 2)), 3, np.arange(3))
+    cg = ClusterGaussian(np.array([2.0, -1.0]), np.zeros((2, 2)), np.arange(3))
     out = synthesize(cg, 5, seed=7)
     assert out.shape == (5, 2)
     np.testing.assert_array_equal(out, np.tile(cg.mu, (5, 1)))
@@ -127,7 +138,7 @@ def test_synthesize_zero_covariance_copies():
 
 def test_synthesize_identity_covariance_statistics():
     mu = np.array([1.0, -2.0])
-    cg = ClusterGaussian(mu, np.eye(2), 4, np.arange(4))
+    cg = ClusterGaussian(mu, np.eye(2), np.arange(4))
     out = synthesize(cg, 10_000, seed=8)
     err = np.abs(out.mean(axis=0) - mu)
     assert (err < 4 / np.sqrt(10_000)).all()  # four standard errors per coordinate
@@ -137,7 +148,7 @@ def test_synthesize_identity_covariance_statistics():
 
 def test_synthesize_deterministic_and_degenerate_covariance():
     cov = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank deficient
-    cg = ClusterGaussian(np.zeros(2), cov, 2, np.arange(2))
+    cg = ClusterGaussian(np.zeros(2), cov, np.arange(2))
     a = synthesize(cg, 50, seed=9)
     b = synthesize(cg, 50, seed=9)
     np.testing.assert_array_equal(a, b)
@@ -151,7 +162,7 @@ def test_synthesize_empirical_mean_converges():
     A = rng.normal(size=(3, 3))
     cov = A @ A.T
     mu = rng.normal(size=3)
-    cg = ClusterGaussian(mu, cov, 5, np.arange(5))
+    cg = ClusterGaussian(mu, cov, np.arange(5))
     out = synthesize(cg, 10_000, seed=10)
     bound = 5 * np.sqrt(np.diag(cov) / 10_000) + 1e-9
     assert (np.abs(out.mean(axis=0) - mu) < bound).all()
