@@ -167,9 +167,15 @@ class OpfClassifier:
     @classmethod
     def from_json(cls, blob: str) -> "OpfClassifier":
         payload = json.loads(blob)
+        if not isinstance(payload, dict):
+            raise ValueError(f"a model blob is a JSON object, got {type(payload).__name__}")
         version = payload.get("format_version")
         if version != SERIAL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {version!r}")
+        missing = [k for k in ("train_features", "train_labels", "cost", "prototypes")
+                   if k not in payload]
+        if missing:
+            raise ValueError(f"model blob lacks {', '.join(missing)}")
         model = cls().fit(payload["train_features"], payload["train_labels"])
         for name in ("cost", "prototypes"):
             if not np.array_equal(getattr(model, f"{name}_"), payload[name]):

@@ -258,18 +258,27 @@ def normalized_cut(g: KnnGraph, forest: ClusterForest) -> float:
 
 
 def sweep_normalized_cuts(X: np.ndarray, k_max: int) -> tuple[np.ndarray, list[ClusterForest]]:
-    """Cluster once per k in 1..k_max and report each normalized cut.
+    """Cluster once per k in 1..k_max, up to the first zero normalized cut.
+
+    A cut is never negative and the selection takes the first minimum, so no
+    k after the first cut of exactly 0 can be selected for any search range
+    that reaches it: the sweep stops there. ``cuts`` still has ``k_max``
+    entries, and every k that was not clustered reads ``+inf``, so it can
+    never be the first minimum of any prefix. ``forests`` holds only the
+    computed forests, one per finite cut.
 
     The pairwise distances and the per-node neighbor ordering are computed
     once and shared, so the graph for every k is identical to what
     :func:`build_knn_graph` would produce.
     """
     dist, order = _checked_neighbor_order(X, k_max, "k_max")
-    cuts = np.empty(k_max, dtype=np.float64)
+    cuts = np.full(k_max, np.inf)
     forests: list[ClusterForest] = []
     for k in range(1, k_max + 1):
         g = _graph_from_prefix(dist, order, k)
         forest = cluster_ift(g, compute_density(g))
         cuts[k - 1] = normalized_cut(g, forest)
         forests.append(forest)
+        if cuts[k - 1] == 0.0:
+            break
     return cuts, forests

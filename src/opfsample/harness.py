@@ -202,10 +202,13 @@ class _TrialAugmenter:
     """Builds the augmented training set of each grid value and trains it once.
 
     :meth:`augment` calls the method's sampler from ``_METHOD_TABLE``. For the
-    OPF oversampler the per-k clustering :attr:`sweep` is computed once up to
-    the largest grid value; grid value g hands its first g entries to
-    :func:`_o2pf_rows`, which matches :func:`oversample_to_count` with
-    ``k_max = g``.
+    OPF oversampler the per-k clustering :attr:`sweep` is computed once, up to
+    the largest grid value or the first zero normalized cut, whichever comes
+    first; grid value g hands its first g entries to :func:`_o2pf_rows`,
+    which matches :func:`oversample_to_count` with ``k_max = g``. Cuts past
+    the first zero read ``inf`` and their forests are never built: a cut is
+    never negative and the first minimum wins, so no grid value could select
+    them.
 
     Every augmented set starts with the training rows in their original
     order, so the training partition's distance matrix :attr:`train_dist` is
@@ -251,7 +254,7 @@ class _TrialAugmenter:
 
     @cached_property
     def sweep(self) -> tuple[np.ndarray, list[ClusterForest]]:
-        """Normalized cut and forest for every k up to the largest grid value."""
+        """Cut and forest per k, up to the largest grid value or the first zero cut."""
         return sweep_normalized_cuts(self.minority_X, max(self.grid()))
 
     @cached_property

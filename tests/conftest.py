@@ -1,4 +1,5 @@
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,17 @@ def pytest_configure(config):
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
+    if call.excinfo is not None:
+        # On a failed property, Hypothesis's report hook imports its patch
+        # writer, and with it libcst, whose import warns. With warnings as
+        # errors that would end the session in an INTERNALERROR instead of
+        # reporting the failing example, so import it here first, quietly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:
+                pass
     outcome = yield
     rep = outcome.get_result()
     marker = item.get_closest_marker("acceptance")

@@ -4,7 +4,8 @@
 A function the package binds at import time (a sampler stored in a table, a
 default argument) escapes the wrapper, and the benchmark's output checks
 then pass on nothing. This runs one small traced compare and asserts that
-every sampler call, every allocation and every trial was seen.
+every sampler call, every allocation, every trial and every O²PF sweep was
+seen, and that the bench's k* read of each captured sweep runs.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import checks  # noqa: E402
 import layers  # noqa: E402
+import run as bench_run  # noqa: E402
 from spans import Tracer  # noqa: E402
 
 
@@ -48,3 +50,10 @@ def test_traced_compare_reaches_every_hook(tmp_path):
     assert checks.samplers(keep["sampler"], keep["allocate"]) == []
     assert checks.classifier(keep["fit"], keep["predict"]) == []
     assert checks.clustering(keep["ift"]) == []
+    # one sweep per O²PF trial, and the bench indexes each one's cuts up to
+    # the chosen grid value, past the sweep's first zero cut
+    assert [tid for tid, _, _ in keep["sweep"]] == ["o2pf/0"]
+    assert keep["ift"]
+    k_star = bench_run._k_star(keep["sweep"], tmp_path / "out")
+    assert list(k_star) == ["o2pf/0"]
+    assert 1 <= k_star["o2pf/0"]["k_star"] <= k_star["o2pf/0"]["chosen"]

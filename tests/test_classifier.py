@@ -213,6 +213,23 @@ def test_from_json_rejects_a_blob_that_a_fit_disagrees_with(tamper):
         OpfClassifier.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        lambda p: json.dumps({k: v for k, v in p.items() if k != "cost"}),
+        lambda p: json.dumps({k: v for k, v in p.items() if k != "train_features"}),
+        lambda p: "[2]",
+        lambda p: '"x"',
+        lambda p: "null",
+    ],
+    ids=["no-cost", "no-features", "list", "string", "null"],
+)
+def test_from_json_rejects_valid_json_that_is_not_a_model(blob):
+    payload = json.loads(OpfClassifier().fit(np.array([[0.0], [1.0]]), [0, 1]).to_json())
+    with pytest.raises(ValueError):
+        OpfClassifier.from_json(blob(payload))
+
+
 def test_fit_and_predict_errors():
     with pytest.raises(ValueError):
         OpfClassifier().fit(np.zeros((3, 2)), [0, 0, 0])  # single class

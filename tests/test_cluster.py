@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opfsample import cluster
 from opfsample.cluster import (
     ClusterForest,
     DensityMap,
@@ -24,6 +25,7 @@ from helpers import (
     cluster_cost_dfs,
     cluster_ift_reference,
     pairwise_rows,
+    reference_sweep,
     symmetrize,
 )
 
@@ -318,16 +320,65 @@ def test_sweep_range_errors():
 
 
 def test_sweep_matches_independent_build():
+    # the library sweep stops at its first zero cut (k = 1 here); the full
+    # reference sweep carries the comparison on to k_max
     rng = np.random.default_rng(34)
     X = rng.normal(size=(12, 3))
-    cuts, forests = sweep_normalized_cuts(X, 5)
+    sweeps = [sweep_normalized_cuts(X, 5), reference_sweep(X, 5)]
     for k in range(1, 6):
         g = build_knn_graph(X, k)
         dm = compute_density(g)
         ref = cluster_ift(g, dm)
-        np.testing.assert_array_equal(forests[k - 1].cluster_id, ref.cluster_id)
-        np.testing.assert_allclose(forests[k - 1].cost, ref.cost, atol=0)
-        assert cuts[k - 1] == normalized_cut(g, ref)
+        for got_cuts, got_forests in sweeps:
+            if k > len(got_forests):
+                continue
+            np.testing.assert_array_equal(got_forests[k - 1].cluster_id, ref.cluster_id)
+            np.testing.assert_allclose(got_forests[k - 1].cost, ref.cost, atol=0)
+            assert got_cuts[k - 1] == normalized_cut(g, ref)
+
+
+def _assert_sweep_is_reference_prefix(X, k_max):
+    """The sweep equals the reference bitwise up to its first zero cut, then reads inf."""
+    cuts, forests = sweep_normalized_cuts(X, k_max)
+    ref_cuts, ref_forests = reference_sweep(X, k_max)
+    zeros = np.flatnonzero(ref_cuts == 0.0)
+    stop = int(zeros[0]) + 1 if zeros.size else k_max
+    assert cuts.shape == (k_max,)
+    assert len(forests) == stop
+    np.testing.assert_array_equal(cuts[:stop].view(np.uint64), ref_cuts[:stop].view(np.uint64))
+    assert np.isposinf(cuts[stop:]).all()
+    for got, ref in zip(forests, ref_forests):
+        np.testing.assert_array_equal(got.cost.view(np.uint64), ref.cost.view(np.uint64))
+        for name in ("pred", "cluster_id", "roots"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+    return stop
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([0, 1]), st.data())
+def test_sweep_is_the_reference_prefix_up_to_its_first_zero_cut(seed, decimals, data):
+    # Rounded values give duplicate points, tied distances and density
+    # plateaus. The seed draws the shape, so large n and many features, which
+    # move the first zero cut past k = 1, come up as often as small ones; a
+    # k_max below the first zero leaves no zero cut at all.
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 41)), int(rng.integers(1, 10))
+    X = np.round(rng.normal(size=(n, m)) * 1.5, decimals)
+    _assert_sweep_is_reference_prefix(X, data.draw(st.integers(1, n - 1), label="k_max"))
+
+
+def test_sweep_stops_mid_range_on_four_rounded_blobs(monkeypatch):
+    # the blobs of the test below, drawn with another seed: here the 1-NN
+    # graph does not split along the clusters, and the first zero cut is at k = 16
+    rng = np.random.default_rng(44)
+    centers = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0]])
+    X = np.round(np.vstack([c + rng.normal(size=(18, 3)) * 0.6 for c in centers]), 1)
+    assert _assert_sweep_is_reference_prefix(X, 71) == 16
+    calls = []
+    real_ift = cluster.cluster_ift
+    monkeypatch.setattr(cluster, "cluster_ift", lambda g, dm: calls.append(g.k) or real_ift(g, dm))
+    sweep_normalized_cuts(X, 71)
+    assert calls == list(range(1, 17))
 
 
 def _assert_ift_matches_reference(X, ks):

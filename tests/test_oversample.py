@@ -17,7 +17,7 @@ from opfsample.oversample import (
     synthesize_plan,
 )
 
-from helpers import two_pass_covariance
+from helpers import reference_sweep, two_pass_covariance
 
 
 def test_two_point_cluster_closed_form():
@@ -69,7 +69,7 @@ def test_cluster_gaussian_counts_its_members():
 def test_covariance_matches_two_pass_oracle():
     rng = np.random.default_rng(51)
     X = rng.normal(size=(30, 4))
-    _, forests = sweep_normalized_cuts(X, 5)
+    _, forests = reference_sweep(X, 5)  # every k, past the library's first zero cut
     for forest in forests:
         clusters = gaussians_from_forest(X, forest)
         assert sum(c.count for c in clusters) == 30
@@ -224,7 +224,9 @@ def test_oversample_to_count_keeps_two_blobs_apart():
     x = out.features[ds.n_samples:, 0]
     assert x.size == 20
     assert ((x < 10.0) | (x > 30.0)).all()
-    cuts, forests = sweep_normalized_cuts(minority, 10)
+    # the library sweep stops at the first zero cut (k = 1 here), so the
+    # forests past it come from the full reference sweep
+    cuts, forests = reference_sweep(minority, 10)
     aligned = [
         k
         for k in range(1, 11)
@@ -244,7 +246,9 @@ def test_oversample_to_count_matches_public_pieces_oracle():
     majority = rng.normal(0, 0.3, size=(30, 2)) + [30.0, 30.0]
     ds = Dataset.from_arrays(np.vstack([majority, minority]), np.r_[np.zeros(30, dtype=int), np.ones(18, dtype=int)])
     k_max, n_new, seed = 8, 12, 21
-    cuts, forests = sweep_normalized_cuts(minority, k_max)
+    # the full reference sweep, so the tie rule is checked against the
+    # oracle's cuts past the library's first zero, not against itself
+    cuts, forests = reference_sweep(minority, k_max)
     tied = [i for i in range(k_max) if cuts[i] == cuts.min()]
     assert len({forests[i].num_clusters for i in tied}) > 1
     best = min(range(k_max), key=lambda i: (cuts[i], i))
