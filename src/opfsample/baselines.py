@@ -44,16 +44,9 @@ class NeighborConfig:
             raise ValueError("kappa must be a positive integer")
 
 
-def _neighbor_table(X: np.ndarray, k: int, rows: np.ndarray | None = None) -> np.ndarray:
-    """Indices of the k nearest rows of X, per row in ``rows`` (default all).
-
-    Self is excluded and ties keep ascending index order. Given ``rows``,
-    only their distances are computed.
-    """
-    if rows is None:
-        return _neighbor_order(pairwise_distances(X))[:, :k]
-    block = np.array([_row_distances(X, X[i]) for i in rows])
-    return _neighbor_order(block, rows)[:, :k]
+def _neighbor_table(X: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k nearest rows of X, per row; self excluded, ties in index order."""
+    return _neighbor_order(pairwise_distances(X))[:, :k]
 
 
 def _check(n_min: int, kappa: int, n_new: int) -> None:
@@ -65,10 +58,9 @@ def _check(n_min: int, kappa: int, n_new: int) -> None:
         raise ValueError("n_new must be nonnegative")
 
 
-def _interpolate(X: np.ndarray, base: np.ndarray, cfg: NeighborConfig, rng) -> np.ndarray:
-    """Step a uniform fraction from each base row of X toward one of its kappa nearest rows."""
-    table = _neighbor_table(X, cfg.kappa)
-    pick = rng.integers(0, cfg.kappa, base.size)
+def _interpolate(X: np.ndarray, table: np.ndarray, base: np.ndarray, rng) -> np.ndarray:
+    """Step a uniform fraction from each base row of X toward one of its ``table`` neighbors."""
+    pick = rng.integers(0, table.shape[1], base.size)
     u = rng.random((base.size, 1))
     sources = X[base]
     return sources + u * (X[table[base, pick]] - sources)
@@ -79,31 +71,30 @@ def smote(minority_X: np.ndarray, n_new: int, cfg: NeighborConfig) -> np.ndarray
     X = np.asarray(minority_X, dtype=np.float64)
     _check(X.shape[0], cfg.kappa, n_new)
     rng = np.random.default_rng(cfg.seed)
-    return _interpolate(X, rng.integers(0, X.shape[0], n_new), cfg, rng)
+    return _interpolate(X, _neighbor_table(X, cfg.kappa), rng.integers(0, X.shape[0], n_new), rng)
 
 
 def _majority_neighbor_counts(
     X: np.ndarray, y: np.ndarray, minority: int, kappa: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per minority sample: majority count among its kappa all-class neighbors."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minority row indices, each one's majority count among its kappa all-class
+    neighbors, and the minority columns of their one distance block to every row."""
     minority_idx = np.flatnonzero(y == minority)
-    # only the minority rows' neighborhoods are read, so only their distances are computed
-    table = _neighbor_table(np.asarray(X, dtype=np.float64), kappa, minority_idx)
+    block = np.array([_row_distances(X, X[i]) for i in minority_idx])
+    table = _neighbor_order(block, minority_idx)[:, :kappa]
     counts = np.count_nonzero(y[table] != minority, axis=1).astype(np.int64)
-    return minority_idx, counts
+    return minority_idx, counts, block[:, minority_idx]
 
 
 def _minority_neighbors(X, y, cfg: NeighborConfig, minority_label, n_new: int = 0):
-    """Checked inputs: the minority rows and their majority-neighbor counts.
-
-    The minority label is inferred from ``y`` when not given.
-    """
+    """Checked inputs: the minority rows, their majority-neighbor counts and
+    kappa nearest minority neighbors; the minority label is inferred if not given."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     minority = minority_label_of(y) if minority_label is None else int(minority_label)
     _check(int(np.count_nonzero(y == minority)), cfg.kappa, n_new)
-    minority_idx, counts = _majority_neighbor_counts(X, y, minority, cfg.kappa)
-    return X[minority_idx], counts
+    minority_idx, counts, minority_dist = _majority_neighbor_counts(X, y, minority, cfg.kappa)
+    return X[minority_idx], counts, _neighbor_order(minority_dist)[:, :cfg.kappa]
 
 
 def _danger(maj_counts: np.ndarray, kappa: int) -> np.ndarray:
@@ -131,13 +122,14 @@ def borderline_danger_mask(X, y, cfg: NeighborConfig, minority_label=None) -> np
 
 def borderline_smote(X, y, n_new: int, cfg: NeighborConfig, minority_label=None) -> np.ndarray:
     """SMOTE seeded only at borderline minority samples (variant 1)."""
-    minority_X, maj_counts = _minority_neighbors(X, y, cfg, minority_label, n_new)
+    minority_X, maj_counts, table = _minority_neighbors(X, y, cfg, minority_label, n_new)
     danger_rows = np.flatnonzero(_danger(maj_counts, cfg.kappa))
     if danger_rows.size == 0:
         logger.info("borderline-smote: empty danger set, falling back to plain SMOTE")
         return smote(minority_X, n_new, cfg)
     rng = np.random.default_rng(cfg.seed)
-    return _interpolate(minority_X, danger_rows[rng.integers(0, danger_rows.size, n_new)], cfg, rng)
+    base = danger_rows[rng.integers(0, danger_rows.size, n_new)]
+    return _interpolate(minority_X, table, base, rng)
 
 
 def adasyn_allocation(X, y, cfg: NeighborConfig, n_new: int, minority_label=None) -> np.ndarray:
@@ -152,10 +144,10 @@ def adasyn_allocation(X, y, cfg: NeighborConfig, n_new: int, minority_label=None
 
 def adasyn(X, y, cfg: NeighborConfig, n_new: int, minority_label=None) -> np.ndarray:
     """Adaptive SMOTE: budget concentrates where majority neighbors dominate."""
-    minority_X, maj_counts = _minority_neighbors(X, y, cfg, minority_label, n_new)
+    minority_X, maj_counts, table = _minority_neighbors(X, y, cfg, minority_label, n_new)
     if not maj_counts.any():
         logger.info("adasyn: all weights zero, falling back to plain SMOTE")
         return smote(minority_X, n_new, cfg)
     per_row = _allocation(maj_counts, cfg.kappa, n_new)
     rng = np.random.default_rng(cfg.seed)
-    return _interpolate(minority_X, np.repeat(np.arange(per_row.size), per_row), cfg, rng)
+    return _interpolate(minority_X, table, np.repeat(np.arange(per_row.size), per_row), rng)

@@ -176,7 +176,10 @@ class OpfClassifier:
                    if k not in payload]
         if missing:
             raise ValueError(f"model blob lacks {', '.join(missing)}")
-        model = cls().fit(payload["train_features"], payload["train_labels"])
+        try:
+            model = cls().fit(payload["train_features"], payload["train_labels"])
+        except TypeError as exc:  # a cell that is not a number, e.g. a JSON object
+            raise ValueError(f"stored rows are not numeric: {exc}") from None
         for name in ("cost", "prototypes"):
             if not np.array_equal(getattr(model, f"{name}_"), payload[name]):
                 raise ValueError(f"stored {name} disagrees with a fit on the stored rows and labels")

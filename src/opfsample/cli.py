@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_grid(text: str) -> tuple[int, ...]:
-    """Parse ``lo:hi:step`` or a comma-separated list of integers."""
+    """Parse ``lo:hi:step`` or a comma list of integers, none above the training row cap."""
     text = text.strip()
     try:
         if ":" in text:
@@ -51,10 +51,15 @@ def parse_grid(text: str) -> tuple[int, ...]:
                 raise ValueError
             if step < 1 or hi < lo:
                 raise ValueError
-            return tuple(range(lo, hi + 1, step))
-        return tuple(int(p) for p in text.split(",") if p.strip())
+            top, values = hi, range(lo, hi + 1, step)  # checked before any value is built
+        else:
+            values = [int(p) for p in text.split(",") if p.strip()]
+            top = max(values, default=0)
     except ValueError:
         raise UsageError(f"cannot parse grid {text!r}; use lo:hi:step or a comma list") from None
+    if top > harness.MAX_TRAINING_ROWS:
+        raise UsageError(f"grid {text!r} exceeds the row cap of {harness.MAX_TRAINING_ROWS}")
+    return tuple(values)
 
 
 def parse_balance_mode(text: str) -> tuple[str, float]:
@@ -89,7 +94,7 @@ def read_config_file(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = line.split("=", 1)
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, non-UTF-8 bytes
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     return values
 

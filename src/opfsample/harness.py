@@ -190,8 +190,6 @@ def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Datas
     if n_new == 0:
         return ds
     minority_X = ds.features[ds.labels == ds.minority_label]
-    if minority_X.shape[0] == 0:
-        raise ValueError("minority class is absent")
     if minority_X.shape[0] < 2:
         raise ValueError("need at least two minority samples to cluster")
     rows = _o2pf_rows(minority_X, *sweep_normalized_cuts(minority_X, k_max), n_new, seed)
@@ -200,6 +198,10 @@ def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Datas
 
 class _TrialAugmenter:
     """Builds the augmented training set of each grid value and trains it once.
+
+    :attr:`n_new` and :attr:`grid` are set once. A method without a grid
+    ("none") synthesizes nothing. When rows are synthesized, the grid values
+    are clamped to the minority count minus one, the largest k or kappa.
 
     :meth:`augment` calls the method's sampler from ``_METHOD_TABLE``. For the
     OPF oversampler the per-k clustering :attr:`sweep` is computed once, up to
@@ -225,37 +227,33 @@ class _TrialAugmenter:
         counts = train.class_counts
         n_min = counts[train.minority_label]
         n_maj = counts[train.majority_label]
-        if cfg.balance_mode == BALANCE_TO_MAJORITY:
+        values = cfg.effective_grid
+        if not values:  # a method without a grid synthesizes nothing
+            n_new = 0
+        elif cfg.balance_mode == BALANCE_TO_MAJORITY:
             n_new = max(0, n_maj - n_min)
         else:
             n_new = cfg.ratio * n_min
             if math.isfinite(n_new):  # past the float range it is over the cap anyway
                 n_new = round(n_new)
         rows = train.n_samples + n_new
-        if cfg.method != "none" and rows > MAX_TRAINING_ROWS:
+        if rows > MAX_TRAINING_ROWS:
             raise ExperimentError(
                 f"cannot oversample: the augmented training set would hold {rows:.6g} rows, "
                 f"more than the cap of {MAX_TRAINING_ROWS}"
             )
-        self.n_new = n_new
-        self.minority_X = train.features[train.labels == train.minority_label]
-        if self.n_new > 0 and cfg.method != "none" and self.minority_X.shape[0] < 2:
+        if n_new > 0 and n_min < 2:
             raise ExperimentError(
                 "cannot oversample: fewer than two minority samples in the training partition"
             )
-
-    def grid(self) -> tuple[int, ...]:
-        values = self.cfg.effective_grid
-        if not values or self.n_new == 0:
-            return values
-        cap = self.minority_X.shape[0] - 1
-        clamped = sorted({min(g, cap) for g in values})
-        return tuple(g for g in clamped if g >= 1)
+        self.n_new = n_new
+        self.minority_X = train.features[train.labels == train.minority_label]
+        self.grid = tuple(sorted({min(g, n_min - 1) for g in values})) if n_new > 0 else values
 
     @cached_property
     def sweep(self) -> tuple[np.ndarray, list[ClusterForest]]:
         """Cut and forest per k, up to the largest grid value or the first zero cut."""
-        return sweep_normalized_cuts(self.minority_X, max(self.grid()))
+        return sweep_normalized_cuts(self.minority_X, max(self.grid))
 
     @cached_property
     def train_dist(self) -> np.ndarray:
@@ -263,7 +261,7 @@ class _TrialAugmenter:
         return pairwise_distances(self.train.features)
 
     def augment(self, g: int | None) -> Dataset:
-        if g is None or self.n_new == 0:
+        if self.n_new == 0:
             return self.train
         sample = _METHOD_TABLE[self.cfg.method][1]
         return append_minority_rows(self.train, sample(self, g, derive_seed(self.trial_seed, g)))
@@ -282,10 +280,10 @@ def select_hyperparameter(augmenter: _TrialAugmenter, val: Dataset):
     (grid value, validation recall) trace. Method "none" has no grid and
     returns (None, model, counts, ()) for the unaugmented training set.
     """
-    if not augmenter.grid():
+    if not augmenter.grid:
         return (None, *augmenter.fit(None), ())
     chosen, best, trace = None, -math.inf, []
-    for g in augmenter.grid():
+    for g in augmenter.grid:
         model, counts = augmenter.fit(g)
         recall = score(val.labels, model.predict_batch(val.features), val.minority_label).recall
         trace.append((g, recall))

@@ -137,9 +137,6 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
         raise ValueError("paired samples must not contain NaN")
     d = d[d != 0]
     n_eff = d.size
-    if n_eff == 0:
-        return WilcoxonResult(0.0, 1.0, 0, False, False)
-
     ranks = tied_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())

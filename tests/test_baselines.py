@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opfsample import baselines
 from opfsample.baselines import (
     NeighborConfig,
     _majority_neighbor_counts,
@@ -11,9 +12,10 @@ from opfsample.baselines import (
     borderline_smote,
     smote,
 )
+from opfsample.cluster import _neighbor_order
 from opfsample.oversample import largest_remainder
 
-from helpers import blob_dataset, brute_force_knn, on_segment_between
+from helpers import blob_dataset, brute_force_knn, on_segment_between, pairwise_rows
 
 
 def test_smote_two_points_stay_on_segment():
@@ -96,20 +98,55 @@ def test_majority_neighbor_counts_match_brute_force():
     X, y = blob_dataset(np.random.default_rng(63), n_maj=30, n_min=12, m=3, sep=1.0)
     minority = np.flatnonzero(y == 1)
     for kappa in (1, 3, 7):
-        idx, counts = _majority_neighbor_counts(X, y, 1, kappa)
+        idx, counts, minority_dist = _majority_neighbor_counts(X, y, 1, kappa)
         knn = brute_force_knn(X, kappa)
         np.testing.assert_array_equal(idx, minority)
         assert counts.dtype == np.int64
         assert counts.tolist() == [sum(int(y[j] != 1) for j in knn[i]) for i in minority]
+        np.testing.assert_array_equal(minority_dist, pairwise_rows(X)[np.ix_(minority, minority)])
 
 
-def test_neighbor_table_of_some_rows_matches_the_full_table():
+def test_minority_block_orders_like_the_minority_neighbor_table():
     # integer cells, so many distances tie and the order rests on the index
     rng = np.random.default_rng(64)
     X = rng.integers(0, 4, size=(40, 3)).astype(np.float64)
-    rows = np.flatnonzero(rng.random(40) < 0.3)
-    for k in (1, 5, 39):
-        np.testing.assert_array_equal(_neighbor_table(X, k, rows), _neighbor_table(X, k)[rows])
+    y = np.zeros(40, dtype=np.int64)
+    y[rng.choice(40, size=14, replace=False)] = 1
+    minority = np.flatnonzero(y == 1)
+    n_min = minority.size
+    for k in (1, 5, n_min - 1):
+        minority_dist = _majority_neighbor_counts(X, y, 1, k)[2]
+        np.testing.assert_array_equal(
+            _neighbor_order(minority_dist)[:, :k], _neighbor_table(X[minority], k)
+        )
+
+
+@pytest.mark.parametrize("sampler", ["borderline_smote", "adasyn"])
+def test_each_sampler_call_makes_one_distance_pass(monkeypatch, sampler):
+    X, y = blob_dataset(np.random.default_rng(65), n_maj=30, n_min=12, m=3, sep=1.0)
+    passes, rows = [], []
+    row_distances, pairwise = baselines._row_distances, baselines.pairwise_distances
+
+    def counted_rows(A, x):
+        rows.append(A.shape[0])
+        return row_distances(A, x)
+
+    def counted_pass(*args, **kwargs):
+        passes.append("pairwise")
+        return pairwise(*args, **kwargs)
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError(f"{sampler} fell back to SMOTE")
+
+    monkeypatch.setattr(baselines, "_row_distances", counted_rows)
+    monkeypatch.setattr(baselines, "pairwise_distances", counted_pass)
+    monkeypatch.setattr(baselines, "smote", no_fallback)
+    cfg = NeighborConfig(kappa=3, seed=1)
+    out = (borderline_smote(X, y, 20, cfg, minority_label=1) if sampler == "borderline_smote"
+           else adasyn(X, y, cfg, 20, minority_label=1))
+    assert out.shape == (20, 3)
+    # one block: each minority row against every row, and no second pass
+    assert passes == [] and rows == [X.shape[0]] * 12
 
 
 def test_borderline_danger_classification():

@@ -221,8 +221,11 @@ def test_from_json_rejects_a_blob_that_a_fit_disagrees_with(tamper):
         lambda p: "[2]",
         lambda p: '"x"',
         lambda p: "null",
+        lambda p: json.dumps({**p, "train_features": {"a": 1}}),
+        lambda p: json.dumps({**p, "train_features": [{}, {}]}),
     ],
-    ids=["no-cost", "no-features", "list", "string", "null"],
+    ids=["no-cost", "no-features", "list", "string", "null", "object-features",
+         "object-rows"],
 )
 def test_from_json_rejects_valid_json_that_is_not_a_model(blob):
     payload = json.loads(OpfClassifier().fit(np.array([[0.0], [1.0]]), [0, 1]).to_json())

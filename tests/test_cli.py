@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from opfsample.cli import main, parse_balance_mode, parse_grid
 from opfsample.data import Dataset, split
 from opfsample.errors import UsageError
-from opfsample.harness import METHODS
+from opfsample.harness import MAX_TRAINING_ROWS, METHODS
 
 from helpers import blob_dataset, write_dataset_csv
 
@@ -30,6 +30,14 @@ def test_parse_grid_forms():
         parse_grid("5:1:2")
     with pytest.raises(UsageError):
         parse_grid("a,b")
+
+
+def test_parse_grid_rejects_values_past_the_row_cap():
+    cap = MAX_TRAINING_ROWS
+    assert len(parse_grid(f"1:{cap}")) == cap
+    for text in (f"1:{cap + 1}", f"3,{cap + 1}", f"{cap}:{cap + 5}:5"):
+        with pytest.raises(UsageError, match="row cap"):
+            parse_grid(text)
 
 
 def test_parse_balance_mode():
@@ -329,6 +337,15 @@ def test_config_file_errors(csv_path, tmp_path, capsys):
         assert main([command, "--config", str(checked)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_config_file_that_is_not_utf8_is_a_usage_error(csv_path, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"trials = 2\n\xff\xfe = 3\n")
+    assert main(["run", "--config", str(cfg), "--data", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(cfg) in captured.err
 
 
 def test_help_exits_zero(capsys):

@@ -154,11 +154,21 @@ def test_row_cap_ignores_method_none(small_ds):
     assert report.augmented_counts == train.class_counts
 
 
+@pytest.mark.parametrize("mode", [("balance_to_majority", 1.0), ("ratio", 1.0), ("ratio", 1e308)])
+def test_method_none_synthesizes_nothing(small_ds, mode):
+    train, _, _ = data_split(small_ds, 2)
+    balance_mode, ratio = mode
+    aug = _TrialAugmenter(train, _cfg(method="none", grid=None, balance_mode=balance_mode,
+                                      ratio=ratio), 2)
+    assert aug.n_new == 0 and aug.grid == ()
+    assert aug.augment(None) is train
+
+
 def test_grid_clamped_to_minority_count(small_ds):
     cfg = _cfg(grid=(5, 10, 50, 80))
     train, _, _ = data_split(small_ds, 4)
     aug = _TrialAugmenter(train, cfg, trial_seed=4)
-    grid = aug.grid()
+    grid = aug.grid
     n_min = train.class_counts[train.minority_label]
     assert max(grid) == n_min - 1
     assert grid == tuple(sorted(set(grid)))
@@ -168,7 +178,7 @@ def test_o2pf_augmenter_matches_oversample_to_count(small_ds):
     cfg = _cfg(grid=(2, 4, 8))
     train, _, _ = data_split(small_ds, 9)
     aug = _TrialAugmenter(train, cfg, trial_seed=9)
-    for g in aug.grid():
+    for g in aug.grid:
         expected = oversample_to_count(train, aug.n_new, g, derive_seed(9, g))
         got = aug.augment(g)
         np.testing.assert_array_equal(got.features, expected.features)
