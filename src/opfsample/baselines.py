@@ -15,7 +15,17 @@ Every sampler checks its inputs the same way before any work, also when no
 row is requested: at least two minority samples, kappa at most the minority
 count minus one, and a nonnegative count; otherwise ``ValueError``.
 Borderline-SMOTE with an empty danger set, and ADASYN with all-zero weights,
-fall back to plain SMOTE (logged), so callers always get the requested count.
+fall back to plain SMOTE (logged) on the minority neighbor order they already
+hold, so callers always get the requested count.
+
+Neighbor orders do not depend on kappa, so a caller that tries several kappa
+values on one training set can sort once: :func:`neighbor_orders` computes the
+minority rows' distances to every row as one block and keeps the first
+``width`` columns of both orders. ``borderline_smote`` and ``adasyn`` take
+that result as ``orders``, and ``smote`` takes its minority order (or
+:func:`_neighbor_table` at that width) as ``minority_order``; each reads the
+first kappa columns, which are the tables a call without them builds, so the
+output is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import _neighbor_order, _row_distances, pairwise_distances
-from .data import minority_label_of
+from .data import _own, minority_label_of
 from .oversample import largest_remainder
 
 logger = logging.getLogger(__name__)
@@ -44,9 +54,52 @@ class NeighborConfig:
             raise ValueError("kappa must be a positive integer")
 
 
+@dataclass(frozen=True)
+class NeighborOrders:
+    """Both neighbor orders of the minority rows of one training set.
+
+    Row r belongs to the r-th minority row. ``all_class`` lists row indices
+    of the whole set and ``minority`` lists indices into the minority rows;
+    each is the stable (distance, index) order without the row itself, cut to
+    the same number of leading columns, its width.
+    """
+
+    all_class: np.ndarray
+    minority: np.ndarray
+
+    def __post_init__(self):
+        _own(self, all_class=np.intp, minority=np.intp)
+
+
 def _neighbor_table(X: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest rows of X, per row; self excluded, ties in index order."""
     return _neighbor_order(pairwise_distances(X))[:, :k]
+
+
+def _minority_block(X: np.ndarray, minority_idx: np.ndarray) -> np.ndarray:
+    """Each minority row's distances to every row of X, one row of the block each."""
+    return np.array([_row_distances(X, X[i]) for i in minority_idx])
+
+
+def neighbor_orders(X, y, minority: int, width: int) -> NeighborOrders:
+    """The minority rows' all-class and minority neighbor orders, ``width`` columns each.
+
+    One distance block, sorted once per order, serves every kappa up to
+    ``width``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    minority_idx = np.flatnonzero(np.asarray(y) == minority)
+    block = _minority_block(X, minority_idx)
+    return NeighborOrders(_neighbor_order(block, minority_idx)[:, :width],
+                          _neighbor_order(block[:, minority_idx])[:, :width])
+
+
+def _prefix(order: np.ndarray, n_rows: int, kappa: int) -> np.ndarray:
+    """The first kappa columns of a precomputed neighbor order of ``n_rows`` rows."""
+    if order.ndim != 2 or order.shape[0] != n_rows or order.shape[1] < kappa:
+        raise ValueError(f"a neighbor order of {n_rows} rows needs at least kappa={kappa} "
+                         f"columns, got shape {order.shape}")
+    return order[:, :kappa]
 
 
 def _check(n_min: int, kappa: int, n_new: int) -> None:
@@ -66,12 +119,24 @@ def _interpolate(X: np.ndarray, table: np.ndarray, base: np.ndarray, rng) -> np.
     return sources + u * (X[table[base, pick]] - sources)
 
 
-def smote(minority_X: np.ndarray, n_new: int, cfg: NeighborConfig) -> np.ndarray:
-    """Interpolate between uniformly drawn minority samples and their neighbors."""
+def smote(minority_X: np.ndarray, n_new: int, cfg: NeighborConfig, *,
+          minority_order: np.ndarray | None = None) -> np.ndarray:
+    """Interpolate between uniformly drawn minority samples and their neighbors.
+
+    ``minority_order``, when given, is the rows' neighbor order at least kappa
+    columns wide; its first kappa columns replace the distances and the sort.
+    """
     X = np.asarray(minority_X, dtype=np.float64)
     _check(X.shape[0], cfg.kappa, n_new)
+    table = (_neighbor_table(X, cfg.kappa) if minority_order is None
+             else _prefix(minority_order, X.shape[0], cfg.kappa))
     rng = np.random.default_rng(cfg.seed)
-    return _interpolate(X, _neighbor_table(X, cfg.kappa), rng.integers(0, X.shape[0], n_new), rng)
+    return _interpolate(X, table, rng.integers(0, X.shape[0], n_new), rng)
+
+
+def _majority_counts(y: np.ndarray, table: np.ndarray, minority: int) -> np.ndarray:
+    """Per row of an all-class neighbor table, how many of its neighbors are majority."""
+    return np.count_nonzero(y[table] != minority, axis=1).astype(np.int64)
 
 
 def _majority_neighbor_counts(
@@ -80,21 +145,26 @@ def _majority_neighbor_counts(
     """Minority row indices, each one's majority count among its kappa all-class
     neighbors, and the minority columns of their one distance block to every row."""
     minority_idx = np.flatnonzero(y == minority)
-    block = np.array([_row_distances(X, X[i]) for i in minority_idx])
-    table = _neighbor_order(block, minority_idx)[:, :kappa]
-    counts = np.count_nonzero(y[table] != minority, axis=1).astype(np.int64)
+    block = _minority_block(X, minority_idx)
+    counts = _majority_counts(y, _neighbor_order(block, minority_idx)[:, :kappa], minority)
     return minority_idx, counts, block[:, minority_idx]
 
 
-def _minority_neighbors(X, y, cfg: NeighborConfig, minority_label, n_new: int = 0):
+def _minority_neighbors(X, y, cfg: NeighborConfig, minority_label, n_new: int = 0,
+                        orders: NeighborOrders | None = None):
     """Checked inputs: the minority rows, their majority-neighbor counts and
-    kappa nearest minority neighbors; the minority label is inferred if not given."""
+    kappa nearest minority neighbors; the minority label is inferred if not
+    given. ``orders`` replaces the distance block and its sorts."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     minority = minority_label_of(y) if minority_label is None else int(minority_label)
-    _check(int(np.count_nonzero(y == minority)), cfg.kappa, n_new)
-    minority_idx, counts, minority_dist = _majority_neighbor_counts(X, y, minority, cfg.kappa)
-    return X[minority_idx], counts, _neighbor_order(minority_dist)[:, :cfg.kappa]
+    n_min = int(np.count_nonzero(y == minority))
+    _check(n_min, cfg.kappa, n_new)
+    if orders is None:
+        minority_idx, counts, minority_dist = _majority_neighbor_counts(X, y, minority, cfg.kappa)
+        return X[minority_idx], counts, _neighbor_order(minority_dist)[:, :cfg.kappa]
+    counts = _majority_counts(y, _prefix(orders.all_class, n_min, cfg.kappa), minority)
+    return X[y == minority], counts, _prefix(orders.minority, n_min, cfg.kappa)
 
 
 def _danger(maj_counts: np.ndarray, kappa: int) -> np.ndarray:
@@ -120,13 +190,18 @@ def borderline_danger_mask(X, y, cfg: NeighborConfig, minority_label=None) -> np
     return _danger(_minority_neighbors(X, y, cfg, minority_label)[1], cfg.kappa)
 
 
-def borderline_smote(X, y, n_new: int, cfg: NeighborConfig, minority_label=None) -> np.ndarray:
-    """SMOTE seeded only at borderline minority samples (variant 1)."""
-    minority_X, maj_counts, table = _minority_neighbors(X, y, cfg, minority_label, n_new)
+def borderline_smote(X, y, n_new: int, cfg: NeighborConfig, minority_label=None, *,
+                     orders: NeighborOrders | None = None) -> np.ndarray:
+    """SMOTE seeded only at borderline minority samples (variant 1).
+
+    ``orders``, when given, is :func:`neighbor_orders` of ``X`` and ``y`` at a
+    width of at least kappa; the result is the same as without it.
+    """
+    minority_X, maj_counts, table = _minority_neighbors(X, y, cfg, minority_label, n_new, orders)
     danger_rows = np.flatnonzero(_danger(maj_counts, cfg.kappa))
     if danger_rows.size == 0:
         logger.info("borderline-smote: empty danger set, falling back to plain SMOTE")
-        return smote(minority_X, n_new, cfg)
+        return smote(minority_X, n_new, cfg, minority_order=table)
     rng = np.random.default_rng(cfg.seed)
     base = danger_rows[rng.integers(0, danger_rows.size, n_new)]
     return _interpolate(minority_X, table, base, rng)
@@ -142,12 +217,16 @@ def adasyn_allocation(X, y, cfg: NeighborConfig, n_new: int, minority_label=None
     return _allocation(_minority_neighbors(X, y, cfg, minority_label, n_new)[1], cfg.kappa, n_new)
 
 
-def adasyn(X, y, cfg: NeighborConfig, n_new: int, minority_label=None) -> np.ndarray:
-    """Adaptive SMOTE: budget concentrates where majority neighbors dominate."""
-    minority_X, maj_counts, table = _minority_neighbors(X, y, cfg, minority_label, n_new)
+def adasyn(X, y, cfg: NeighborConfig, n_new: int, minority_label=None, *,
+           orders: NeighborOrders | None = None) -> np.ndarray:
+    """Adaptive SMOTE: budget concentrates where majority neighbors dominate.
+
+    ``orders`` is as in :func:`borderline_smote`.
+    """
+    minority_X, maj_counts, table = _minority_neighbors(X, y, cfg, minority_label, n_new, orders)
     if not maj_counts.any():
         logger.info("adasyn: all weights zero, falling back to plain SMOTE")
-        return smote(minority_X, n_new, cfg)
+        return smote(minority_X, n_new, cfg, minority_order=table)
     per_row = _allocation(maj_counts, cfg.kappa, n_new)
     rng = np.random.default_rng(cfg.seed)
     return _interpolate(minority_X, table, np.repeat(np.arange(per_row.size), per_row), rng)

@@ -12,6 +12,9 @@ sample.
 
 Fits that share their leading training rows can share the distances among
 those rows: ``fit`` takes them as ``known_dist`` and computes only the rest.
+Predictions for the same probes against such fits can share each probe's
+distances to those rows in the same way: ``predict_batch`` takes them as
+``known``.
 ``fit`` is the one way a model gets its state: loading a JSON blob refits on
 the stored rows and labels (O(n²)) and rejects a blob whose stored costs or
 prototypes disagree with that fit.
@@ -33,22 +36,26 @@ def _prim(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prim's algorithm on a complete graph from node 0; lowest index wins ties.
 
     Returns the nodes after the root in the order they join the tree, and
-    each node's parent.
+    each node's parent. The loop writes into preallocated arrays, since its
+    per-step numpy calls dominate small fits.
     """
     n = dist.shape[0]
     key = np.full(n, np.inf)
     key[0] = 0.0
-    visited = np.zeros(n, dtype=bool)
+    open_nodes = np.ones(n, dtype=bool)
+    better = np.empty(n, dtype=bool)
     parent = np.zeros(n, dtype=np.intp)
     order = np.empty(n, dtype=np.intp)
     for step in range(n):
-        u = int(np.argmin(key))
+        u = int(key.argmin())
         order[step] = u
-        visited[u] = True
+        open_nodes[u] = False
         key[u] = np.inf  # so a tree node is never picked again
-        better = (dist[u] < key) & ~visited
-        key[better] = dist[u][better]
-        parent[better] = u
+        row = dist[u]
+        np.less(row, key, out=better)
+        better &= open_nodes
+        np.copyto(key, row, where=better)
+        np.copyto(parent, u, where=better)
     return order[1:], parent
 
 
@@ -97,7 +104,7 @@ class OpfClassifier:
         y = np.asarray(y)
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise ValueError("X must be n x m with a matching label vector")
-        if not np.isin(y, (0, 1)).all():
+        if not ((y == 0) | (y == 1)).all():
             raise ValueError("labels must take values in {0, 1}")
         y = _frozen(y, np.int64)
         if np.isnan(X).any():
@@ -107,7 +114,9 @@ class OpfClassifier:
             raise ValueError("training requires samples from both classes")
         with np.errstate(over="ignore", invalid="ignore"):
             dist = pairwise_distances(X, known=known_dist)
-        if not np.isfinite(dist).all():
+        # a NaN or inf cell wins the max (a distance is never -inf), and the
+        # max needs no n x n temporary at the fit's memory peak
+        if not np.isfinite(dist.max()):
             raise ValueError("training features must give finite pairwise distances")
         joined, parent = _prim(dist)
         cross = joined[y[joined] != y[parent[joined]]]
@@ -129,27 +138,47 @@ class OpfClassifier:
         """Classify one sample: :meth:`predict_batch` on a batch of one."""
         return int(self.predict_batch(np.asarray(x, dtype=np.float64)[np.newaxis])[0])
 
-    def predict_batch(self, X) -> np.ndarray:
+    def predict_batch(self, X, known=None) -> np.ndarray:
         """Full-scan prediction for a batch; ties go to the lowest index.
+
+        ``known``, when given, must hold each probe's distances to the first
+        t training rows, as :func:`~opfsample.cluster._row_distances` gives
+        them; only the remaining columns are computed, and the labels are the
+        same as without it. A block that is not ``len(X)`` x t with t at most
+        the training row count raises ``ValueError``.
 
         A probe whose distance to a training sample is not finite (it
         overflows, or the probe holds inf) raises ``ValueError``, as in
-        :meth:`fit`.
+        :meth:`fit`; a known cell counts as one of those distances.
         """
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
+        n = self.train_features_.shape[0]
         if X.ndim != 2 or X.shape[1] != self.train_features_.shape[1]:
             raise ValueError("batch shape does not match the training features")
         if np.isnan(X).any():
             raise ValueError("probes must not contain NaN")
+        t = 0
+        if known is not None:
+            known = np.asarray(known, dtype=np.float64)
+            if known.ndim != 2 or known.shape[0] != X.shape[0] or known.shape[1] > n:
+                raise ValueError(
+                    f"known distances must be a {X.shape[0]} x t block with t <= {n}, "
+                    f"got shape {known.shape}"
+                )
+            t = known.shape[1]
+        rest = self.train_features_[t:]
+        d = np.empty(n)
         labels = np.empty(X.shape[0], dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore"):
             for r in range(X.shape[0]):
-                d = _row_distances(self.train_features_, X[r])
+                if t:
+                    d[:t] = known[r]
+                d[t:] = _row_distances(rest, X[r])
                 if not np.isfinite(d).all():
                     raise ValueError(f"probe {r} must give finite distances to training rows")
-                vals = np.maximum(self.cost_, d)
-                labels[r] = self.assigned_label_[int(np.argmin(vals))]
+                np.maximum(self.cost_, d, out=d)
+                labels[r] = self.assigned_label_[int(d.argmin())]
         return labels
 
     def to_json(self) -> str:

@@ -76,7 +76,7 @@ class Dataset:
             raise DataError(f"dataset too small: {n} rows x {m} features")
         if labels.shape != (n,):
             raise DataError("labels must be a vector matching the feature rows")
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise DataError("labels must take values in {0, 1}")
         if self.minority_label not in (0, 1):
             raise DataError("minority_label must be 0 or 1")

@@ -14,8 +14,8 @@ is fixed, so no preprocessing statistic or tuning decision can read it.
 
 Each method is one entry of ``_METHOD_TABLE``: its default grid and its
 sampler call. ``METHODS`` lists the table's keys in order. The O²PF chain
-(least-cut forest, Gaussians, allocation, synthesis) is ``_o2pf_rows``, which
-the grid and :func:`oversample_to_count` share.
+picks the forest of least cut with ``_least_cut`` and draws from its Gaussians
+with ``_o2pf_rows``; the grid and :func:`oversample_to_count` share both.
 
 Each reported statistic (recall, accuracy, F1, the chosen grid value) is one
 entry of ``_STATS``, with the trial field it is taken over and its text label.
@@ -32,13 +32,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import NeighborConfig, adasyn, borderline_smote, smote
+from .baselines import (
+    NeighborConfig,
+    NeighborOrders,
+    _neighbor_table,
+    adasyn,
+    borderline_smote,
+    neighbor_orders,
+    smote,
+)
 from .classifier import OpfClassifier
-from .cluster import ClusterForest, pairwise_distances, sweep_normalized_cuts
+from .cluster import ClusterForest, _row_distances, pairwise_distances, sweep_normalized_cuts
 from .data import SPLIT_RATIOS, Dataset, impute_mean, load_csv, split, standardize
 from .errors import ExperimentError
 from .metrics import score, wilcoxon_signed_rank
-from .oversample import allocate, append_minority_rows, gaussians_from_forest, synthesize_plan
+from .oversample import (
+    ClusterGaussian,
+    allocate,
+    append_minority_rows,
+    gaussians_from_forest,
+    synthesize_plan,
+)
 
 DEFAULT_K_MAX_GRID = tuple(range(5, 101, 5))
 DEFAULT_KAPPA_GRID = tuple(range(5, 11))
@@ -56,24 +70,25 @@ _METHOD_TABLE = {
     "none": ((), None),
     "o2pf": (
         DEFAULT_K_MAX_GRID,
-        lambda a, g, seed: _o2pf_rows(a.minority_X, *(part[:g] for part in a.sweep), a.n_new, seed),
+        lambda a, g, seed: _o2pf_rows(a.gaussians(g), a.n_new, seed),
     ),
     "smote": (
         DEFAULT_KAPPA_GRID,
-        lambda a, g, seed: smote(a.minority_X, a.n_new, NeighborConfig(g, seed)),
+        lambda a, g, seed: smote(a.minority_X, a.n_new, NeighborConfig(g, seed),
+                                 minority_order=a.minority_order),
     ),
     "borderline_smote": (
         DEFAULT_KAPPA_GRID,
         lambda a, g, seed: borderline_smote(
             a.train.features, a.train.labels, a.n_new, NeighborConfig(g, seed),
-            minority_label=a.train.minority_label,
+            minority_label=a.train.minority_label, orders=a.orders,
         ),
     ),
     "adasyn": (
         DEFAULT_KAPPA_GRID,
         lambda a, g, seed: adasyn(
             a.train.features, a.train.labels, NeighborConfig(g, seed), a.n_new,
-            minority_label=a.train.minority_label,
+            minority_label=a.train.minority_label, orders=a.orders,
         ),
     ),
 }
@@ -174,12 +189,16 @@ class ExperimentReport:
         return out
 
 
-def _o2pf_rows(minority_X: np.ndarray, cuts, forests, n_new: int, seed: int) -> np.ndarray:
-    """Draw ``n_new`` O²PF rows from the sweep's forest of least normalized cut.
+def _least_cut(cuts) -> int:
+    """Index of the sweep's forest of least normalized cut.
 
     The first minimum wins, so ties go to the smaller k.
     """
-    clusters = gaussians_from_forest(minority_X, forests[int(np.argmin(cuts))])
+    return int(np.argmin(cuts))
+
+
+def _o2pf_rows(clusters: list[ClusterGaussian], n_new: int, seed: int) -> np.ndarray:
+    """Draw ``n_new`` O²PF rows from a forest's Gaussians, split by cluster size."""
     return synthesize_plan(clusters, allocate(clusters, n_new), seed)
 
 
@@ -192,8 +211,9 @@ def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Datas
     minority_X = ds.features[ds.labels == ds.minority_label]
     if minority_X.shape[0] < 2:
         raise ValueError("need at least two minority samples to cluster")
-    rows = _o2pf_rows(minority_X, *sweep_normalized_cuts(minority_X, k_max), n_new, seed)
-    return append_minority_rows(ds, rows)
+    cuts, forests = sweep_normalized_cuts(minority_X, k_max)
+    clusters = gaussians_from_forest(minority_X, forests[_least_cut(cuts)])
+    return append_minority_rows(ds, _o2pf_rows(clusters, n_new, seed))
 
 
 class _TrialAugmenter:
@@ -203,18 +223,33 @@ class _TrialAugmenter:
     ("none") synthesizes nothing. When rows are synthesized, the grid values
     are clamped to the minority count minus one, the largest k or kappa.
 
-    :meth:`augment` calls the method's sampler from ``_METHOD_TABLE``. For the
-    OPF oversampler the per-k clustering :attr:`sweep` is computed once, up to
-    the largest grid value or the first zero normalized cut, whichever comes
-    first; grid value g hands its first g entries to :func:`_o2pf_rows`,
-    which matches :func:`oversample_to_count` with ``k_max = g``. Cuts past
-    the first zero read ``inf`` and their forests are never built: a cut is
-    never negative and the first minimum wins, so no grid value could select
-    them.
+    :meth:`augment` calls the method's sampler from ``_METHOD_TABLE``. What
+    depends only on the training partition is computed once per trial, on
+    first use, and shared by every grid value:
+
+    - O²PF: the per-k clustering :attr:`sweep`, up to the largest grid value
+      or the first zero normalized cut, whichever comes first. Grid value g
+      takes the forest of least cut among the first g (:meth:`gaussians`),
+      which matches :func:`oversample_to_count` with ``k_max = g``; cuts past
+      the first zero read ``inf`` and their forests are never built, since a
+      cut is never negative and the first minimum wins. Each selected forest
+      gets its Gaussians fitted once, and each Gaussian its
+      eigendecomposition once, however many grid values select it.
+    - SMOTE: the minority rows' neighbor order :attr:`minority_order`.
+    - Borderline-SMOTE and ADASYN: the minority rows' distances to every
+      training row, one block sorted once into the all-class and the
+      minority neighbor order (:attr:`orders`).
+
+    Each order keeps only its first ``max(grid)`` columns; grid value kappa
+    reads the first kappa, which is the table a standalone sampler call
+    sorts for that kappa, so every draw is the same.
 
     Every augmented set starts with the training rows in their original
     order, so the training partition's distance matrix :attr:`train_dist` is
-    computed once per trial, on first use, and each classifier fit extends it.
+    computed once per trial, and each classifier fit extends it. In the same
+    way, :meth:`train_distances` gives the validation partition's distances
+    to the training rows once, and each grid value's prediction computes only
+    the synthetic columns.
 
     No set is trained twice: the model that wins on the validation partition
     is the one that scores the test partition.
@@ -249,16 +284,46 @@ class _TrialAugmenter:
         self.n_new = n_new
         self.minority_X = train.features[train.labels == train.minority_label]
         self.grid = tuple(sorted({min(g, n_min - 1) for g in values})) if n_new > 0 else values
+        self._gaussians: dict[int, list[ClusterGaussian]] = {}
 
     @cached_property
     def sweep(self) -> tuple[np.ndarray, list[ClusterForest]]:
         """Cut and forest per k, up to the largest grid value or the first zero cut."""
         return sweep_normalized_cuts(self.minority_X, max(self.grid))
 
+    def gaussians(self, g: int) -> list[ClusterGaussian]:
+        """Gaussians of the forest of least cut among the sweep's first ``g``, fitted once."""
+        cuts, forests = self.sweep
+        k = _least_cut(cuts[:g])
+        if k not in self._gaussians:
+            self._gaussians[k] = gaussians_from_forest(self.minority_X, forests[k])
+        return self._gaussians[k]
+
+    @cached_property
+    def minority_order(self) -> np.ndarray:
+        """The minority rows' neighbor order among themselves, ``max(grid)`` columns wide
+        (a copy, so the full order is freed)."""
+        return _neighbor_table(self.minority_X, max(self.grid)).copy()
+
+    @cached_property
+    def orders(self) -> NeighborOrders:
+        """The minority rows' all-class and minority neighbor orders, ``max(grid)`` columns wide."""
+        t = self.train
+        return neighbor_orders(t.features, t.labels, t.minority_label, max(self.grid))
+
     @cached_property
     def train_dist(self) -> np.ndarray:
         """Distance matrix of the training partition, the first rows of every augmented set."""
         return pairwise_distances(self.train.features)
+
+    def train_distances(self, X: np.ndarray) -> np.ndarray:
+        """Each row of ``X``'s distances to the training rows, the first columns of every
+        augmented set; a cell that overflows reads inf, which prediction rejects."""
+        out = np.empty((X.shape[0], self.train.n_samples))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r, x in enumerate(X):
+                out[r] = _row_distances(self.train.features, x)
+        return out
 
     def augment(self, g: int | None) -> Dataset:
         if self.n_new == 0:
@@ -282,10 +347,12 @@ def select_hyperparameter(augmenter: _TrialAugmenter, val: Dataset):
     """
     if not augmenter.grid:
         return (None, *augmenter.fit(None), ())
+    known = augmenter.train_distances(val.features)
     chosen, best, trace = None, -math.inf, []
     for g in augmenter.grid:
         model, counts = augmenter.fit(g)
-        recall = score(val.labels, model.predict_batch(val.features), val.minority_label).recall
+        labels = model.predict_batch(val.features, known=known)
+        recall = score(val.labels, labels, val.minority_label).recall
         trace.append((g, recall))
         if recall > best:  # the grid ascends, so a tie keeps the smaller value
             chosen, best, winner = g, recall, (model, counts)

@@ -5,7 +5,8 @@ multivariate Gaussian fitted to its members, and synthetic samples are drawn
 per cluster in proportion to cluster size. Synthesis happens in whatever
 feature space the input lives in (the harness passes standardized features)
 and the synthetic rows are appended after the original rows, which stay
-untouched. The chain that picks the clustering is ``harness._o2pf_rows``.
+untouched. The harness picks the clustering (``harness._least_cut``) and
+draws from its Gaussians (``harness._o2pf_rows``).
 """
 
 from __future__ import annotations
@@ -15,17 +16,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterForest
-from .data import Dataset, _own
+from .data import Dataset, _frozen, _own
 
 
 @dataclass(frozen=True)
 class ClusterGaussian:
-    """Gaussian fitted to one cluster: mean, covariance, and its members, ``count`` of them."""
+    """Gaussian fitted to one cluster: mean, covariance, and its members, ``count`` of them.
+
+    ``scale`` maps standard normal draws onto the covariance. It comes from
+    the symmetric eigendecomposition, taken once here, with negative
+    eigenvalues clamped to zero, so a rank-deficient covariance (common when
+    a cluster has fewer members than features) needs no factorization that
+    could fail.
+    """
 
     mu: np.ndarray
     sigma_mat: np.ndarray
     count: int = field(init=False)
     member_indices: np.ndarray
+    scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _own(self, mu=np.float64, sigma_mat=np.float64, member_indices=np.intp)
@@ -37,6 +46,8 @@ class ClusterGaussian:
         if self.member_indices.size < 1:
             raise ValueError("a cluster needs at least one member index")
         object.__setattr__(self, "count", int(self.member_indices.size))
+        eigvals, eigvecs = np.linalg.eigh(self.sigma_mat)
+        object.__setattr__(self, "scale", _frozen(eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))))
 
 
 @dataclass(frozen=True)
@@ -105,10 +116,8 @@ def allocate(clusters: list[ClusterGaussian], n_new: int) -> OversamplePlan:
 def synthesize(cg: ClusterGaussian, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` samples from the cluster Gaussian, deterministically.
 
-    Sampling goes through the symmetric eigendecomposition of the covariance
-    with negative eigenvalues clamped to zero, so rank-deficient covariances
-    (common when a cluster has fewer members than features) are handled
-    without a factorization failure.
+    Each draw is ``mu`` plus a standard normal vector mapped through the
+    cluster's ``scale``.
     """
     m = cg.mu.shape[0]
     if count < 0:
@@ -116,9 +125,7 @@ def synthesize(cg: ClusterGaussian, count: int, seed: int) -> np.ndarray:
     if count == 0:
         return np.empty((0, m))
     rng = np.random.default_rng(seed)
-    eigvals, eigvecs = np.linalg.eigh(cg.sigma_mat)
-    scale = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    return cg.mu + rng.standard_normal((count, m)) @ scale.T
+    return cg.mu + rng.standard_normal((count, m)) @ cg.scale.T
 
 
 def synthesize_plan(clusters: list[ClusterGaussian], plan: OversamplePlan, seed: int) -> np.ndarray:

@@ -262,6 +262,31 @@ def classifier_cost_closure(dist: np.ndarray, prototypes) -> np.ndarray:
     return best
 
 
+def textbook_prim(dist) -> tuple[list[int], list[int]]:
+    """Prim's algorithm from node 0 on plain lists.
+
+    Each step joins the open node of smallest key, the lowest index on ties,
+    and an open node's key and parent change only on a strictly shorter arc.
+    Returns the nodes after the root in joining order, and every parent (the
+    root's is 0).
+    """
+    n = len(dist)
+    key = [float("inf")] * n
+    key[0] = 0.0
+    parent = [0] * n
+    open_nodes = list(range(n))
+    joined = []
+    while open_nodes:
+        u = min(open_nodes, key=lambda v: (key[v], v))
+        open_nodes.remove(u)
+        joined.append(u)
+        for v in open_nodes:
+            if dist[u][v] < key[v]:
+                key[v] = dist[u][v]
+                parent[v] = u
+    return joined[1:], parent
+
+
 def predict_full_scan(train_X, cost, assigned, x) -> int:
     """Reference prediction: no early exit, lowest index wins ties."""
     d = np.array([float(np.sqrt(((row - x) ** 2).sum())) for row in train_X])

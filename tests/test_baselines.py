@@ -10,6 +10,7 @@ from opfsample.baselines import (
     adasyn_allocation,
     borderline_danger_mask,
     borderline_smote,
+    neighbor_orders,
     smote,
 )
 from opfsample.cluster import _neighbor_order
@@ -278,3 +279,72 @@ def test_minority_inference_without_explicit_label():
     out = borderline_smote(X, y, 10, cfg)  # minority inferred as label 1
     assert out.shape == (10, 2)
     assert on_segment_between(out, minority).all()
+
+
+def _far_minority(seed, n_min):
+    # a tight minority blob far from the majority: every all-class neighbor of
+    # a minority row is minority, so the danger set is empty and the ADASYN
+    # weights are all zero at every kappa
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.normal(size=(n_min, 2)) * 0.1, rng.normal(size=(5, 2)) * 0.1 + 50.0])
+    return X, np.r_[np.ones(n_min, dtype=int), np.zeros(5, dtype=int)]
+
+
+def _integer_ties(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(40, 3)).astype(np.float64)
+    y = np.zeros(40, dtype=np.int64)
+    y[rng.choice(40, size=14, replace=False)] = 1
+    return X, y
+
+
+@pytest.mark.parametrize("case", ["blobs", "integer_ties", "fallbacks"])
+def test_per_trial_orders_give_the_standalone_rows(case, caplog):
+    if case == "blobs":
+        X, y = blob_dataset(np.random.default_rng(68), n_maj=30, n_min=12, m=3, sep=1.0)
+    elif case == "integer_ties":
+        X, y = _integer_ties(69)
+    else:
+        X, y = _far_minority(70, 8)
+    minority = X[y == 1]
+    width = len(minority) - 1
+    orders = neighbor_orders(X, y, 1, width)
+    assert orders.all_class.shape == orders.minority.shape == (len(minority), width)
+    for kappa in range(1, width + 1):
+        cfg = NeighborConfig(kappa, seed=kappa)
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            pairs = [
+                (smote(minority, 40, cfg),
+                 smote(minority, 40, cfg, minority_order=orders.minority)),
+                (smote(minority, 40, cfg),
+                 smote(minority, 40, cfg, minority_order=_neighbor_table(minority, width))),
+                (borderline_smote(X, y, 40, cfg, minority_label=1),
+                 borderline_smote(X, y, 40, cfg, minority_label=1, orders=orders)),
+                (adasyn(X, y, cfg, 40, minority_label=1),
+                 adasyn(X, y, cfg, 40, minority_label=1, orders=orders)),
+            ]
+        for standalone, shared in pairs:
+            assert standalone.shape == (40, 3 if case != "fallbacks" else 2)
+            assert standalone.tobytes() == shared.tobytes()
+        if case == "fallbacks":
+            # both samplers fell back, with and without the orders
+            assert caplog.text.count("falling back") == 4
+
+
+def test_orders_narrower_than_kappa_are_rejected():
+    X, y = _integer_ties(71)
+    orders = neighbor_orders(X, y, 1, 3)
+    minority = X[y == 1]
+    cfg = NeighborConfig(4, seed=1)
+    for call in (
+        lambda: smote(minority, 5, cfg, minority_order=orders.minority),
+        lambda: smote(minority[1:], 5, NeighborConfig(3, seed=1), minority_order=orders.minority),
+        lambda: borderline_smote(X, y, 5, cfg, minority_label=1, orders=orders),
+        lambda: adasyn(X, y, cfg, 5, minority_label=1, orders=orders),
+    ):
+        with pytest.raises(ValueError, match="neighbor order of"):
+            call()
+    # kappa within the width is fine
+    assert borderline_smote(X, y, 5, NeighborConfig(3, seed=1), minority_label=1,
+                            orders=orders).shape == (5, 3)

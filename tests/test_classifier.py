@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from opfsample.classifier import OpfClassifier
-from opfsample.cluster import pairwise_distances
+from opfsample.classifier import OpfClassifier, _prim
+from opfsample.cluster import _row_distances, pairwise_distances
 
 from helpers import (
     classifier_cost_closure,
     classifier_cost_dfs,
     pairwise,
+    pairwise_rows,
     predict_full_scan,
+    textbook_prim,
 )
 
 
@@ -295,3 +297,62 @@ def test_fit_rejects_a_misshapen_known_block():
     for bad in (np.zeros((3, 4)), np.zeros(6), np.zeros((7, 7)), np.zeros((1, 2, 2))):
         with pytest.raises(ValueError):
             OpfClassifier().fit(X, y, known_dist=bad)
+
+
+def test_prim_matches_textbook_prim_where_ties_decide_the_tree():
+    # integer grid with duplicate rows: many equal keys, so the tie rule shapes the tree
+    rng = np.random.default_rng(50)
+    for n in (1, 2, 3, 8, 25, 60):
+        X = rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+        X[n // 2:] = X[: n - n // 2]  # the second half repeats the first
+        dist = pairwise_rows(X)
+        joined, parent = _prim(dist)
+        want_joined, want_parent = textbook_prim(dist.tolist())
+        assert joined.tolist() == want_joined
+        assert parent.tolist() == want_parent
+
+
+def _rounded_fit(seed):
+    # one decimal, so probe distances and path costs tie often
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(24, 2)), 1)
+    y = np.r_[np.zeros(12, dtype=int), np.ones(12, dtype=int)]
+    probes = np.round(rng.normal(size=(15, 2)), 1)
+    probes[:5] = X[rng.choice(24, 5)]  # probes on training rows
+    return OpfClassifier().fit(X, y), X, probes
+
+
+def _probe_block(train, probes):
+    return np.array([_row_distances(train, p) for p in probes])
+
+
+def test_predict_with_known_columns_equals_plain_predict():
+    for seed in (51, 52, 53):
+        model, X, probes = _rounded_fit(seed)
+        plain = model.predict_batch(probes)
+        block = _probe_block(X, probes)
+        for t in (0, 1, len(X) // 2, len(X)):
+            np.testing.assert_array_equal(model.predict_batch(probes, known=block[:, :t]), plain)
+
+
+def test_predict_rejects_a_misshapen_known_block():
+    model, X, probes = _rounded_fit(54)
+    block = _probe_block(X, probes)
+    for bad in (block[0], block[:, :, None], block[:-1], np.vstack([block, block[:1]]),
+                np.hstack([block, block[:, :1]])):
+        with pytest.raises(ValueError, match="known distances must be"):
+            model.predict_batch(probes, known=bad)
+
+
+def test_predict_checks_known_cells_and_computed_columns_for_finiteness():
+    model = OpfClassifier().fit([[0.0], [1.0], [5.0], [6.0]], [0, 0, 1, 1])
+    probes = np.array([[0.5], [2.0], [5.5]])
+    block = _probe_block(model.train_features_, probes)
+    for value in (np.inf, np.nan):
+        bad = block.copy()
+        bad[1, 0] = value
+        with pytest.raises(ValueError, match="probe 1 must give finite distances"):
+            model.predict_batch(probes, known=bad[:, :2])
+    # the probe overflows in the computed columns, past the known ones
+    with pytest.raises(ValueError, match="probe 2 must give finite distances"):
+        model.predict_batch([[0.5], [2.0], [1e300]], known=block[:, :1])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opfsample import classifier, cli, harness, oversample_to_count
+from opfsample import baselines, classifier, cli, harness, oversample_to_count
 from opfsample.data import Dataset, split as data_split
 from opfsample.errors import DataError, ExperimentError
 from opfsample.harness import (
@@ -242,9 +242,9 @@ def test_each_grid_value_is_trained_once_and_the_winner_scores_test(small_ds, mo
         fits.append(self)
         return real_fit(self, *args, **kwargs)
 
-    def predict_spy(self, X):
+    def predict_spy(self, *args, **kwargs):
         probes.append(self)
-        return real_predict(self, X)
+        return real_predict(self, *args, **kwargs)
 
     monkeypatch.setattr(classifier.OpfClassifier, "fit", fit_spy)
     monkeypatch.setattr(classifier.OpfClassifier, "predict_batch", predict_spy)
@@ -263,6 +263,66 @@ def test_each_grid_value_is_trained_once_and_the_winner_scores_test(small_ds, mo
         assert probes[-1] is fits[winner]
     if method != "none":  # the last case tied on every grid value
         assert report.chosen == 4
+
+
+def _rounded_blobs():
+    # at trial seed 3 the least cut moves twice between k = 1 and k = 15
+    X, y = blob_dataset(np.random.default_rng(60), n_maj=60, n_min=30, m=3, sep=2.0)
+    return Dataset.from_arrays(np.round(X, 1), y)
+
+
+@pytest.mark.parametrize("method", ["o2pf", "smote", "borderline_smote", "adasyn"])
+def test_each_trial_computes_its_shared_pieces_once(monkeypatch, method):
+    ds = _rounded_blobs()
+    grid = tuple(range(1, 16)) if method == "o2pf" else tuple(range(1, 10))
+    train, val, _ = data_split(ds, 3)
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+        key = f"{module.__name__}.{name}"
+        calls[key] = []
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls[key].append((args, out))
+            return out
+
+        monkeypatch.setattr(module, name, spy)
+
+    for module, name in ((baselines, "_row_distances"), (baselines, "_neighbor_table"),
+                         (harness, "_row_distances"), (harness, "_neighbor_table"),
+                         (classifier, "_row_distances"),
+                         (harness, "sweep_normalized_cuts"), (harness, "gaussians_from_forest"),
+                         (np.linalg, "eigh")):
+        count(module, name)
+    report = run_trial(_cfg(method=method, grid=grid, trials=1), trial_seed=3, dataset=ds)
+    assert [g for g, _ in report.validation_trace] == list(grid)
+    # one validation x training block, a row per validation probe; each grid
+    # value's validation probes then scan only the synthetic rows
+    assert len(calls["opfsample.harness._row_distances"]) == val.n_samples
+    n_new = sum(report.augmented_counts) - train.n_samples
+    scanned = [args[0].shape[0] for args, _ in calls["opfsample.classifier._row_distances"]]
+    assert scanned[:len(grid) * val.n_samples] == [n_new] * (len(grid) * val.n_samples)
+    # one minority x all block, a row per minority row, for the samplers that read it
+    block_rows = [args[0].shape[0] for args, _ in calls["opfsample.baselines._row_distances"]]
+    if method in ("borderline_smote", "adasyn"):
+        assert block_rows == [train.n_samples] * train.minority_count
+    else:
+        assert block_rows == []
+    # SMOTE sorts its minority order once; no sampler sorts one of its own
+    assert len(calls["opfsample.harness._neighbor_table"]) == (method == "smote")
+    assert calls["opfsample.baselines._neighbor_table"] == []
+    # one set of Gaussians per selected forest, one eigendecomposition per Gaussian
+    fitted = calls["opfsample.harness.gaussians_from_forest"]
+    if method == "o2pf":
+        ((_, (cuts, forests)),) = calls["opfsample.harness.sweep_normalized_cuts"]
+        selected = sorted({harness._least_cut(cuts[:g]) for g in grid})
+        assert len(selected) == 3
+        assert [id(args[1]) for args, _ in fitted] == [id(forests[k]) for k in selected]
+        assert len(calls["numpy.linalg.eigh"]) == sum(len(out) for _, out in fitted)
+    else:
+        assert fitted == [] and calls["numpy.linalg.eigh"] == []
 
 
 @pytest.mark.parametrize("method", harness.METHODS)
