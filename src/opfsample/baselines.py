@@ -22,10 +22,10 @@ Neighbor orders do not depend on kappa, so a caller that tries several kappa
 values on one training set can sort once: :func:`neighbor_orders` computes the
 minority rows' distances to every row as one block and keeps the first
 ``width`` columns of both orders. ``borderline_smote`` and ``adasyn`` take
-that result as ``orders``, and ``smote`` takes its minority order (or
-:func:`_neighbor_table` at that width) as ``minority_order``; each reads the
-first kappa columns, which are the tables a call without them builds, so the
-output is the same bit for bit.
+that result as ``orders`` and build it at a width of kappa without it;
+``smote`` takes its minority order (or :func:`_neighbor_table` at that width)
+as ``minority_order``. Each reads the first kappa columns, and a prefix of a
+stable sort is the narrower sort, so the output is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -76,9 +76,15 @@ def _neighbor_table(X: np.ndarray, k: int) -> np.ndarray:
     return _neighbor_order(pairwise_distances(X))[:, :k]
 
 
-def _minority_block(X: np.ndarray, minority_idx: np.ndarray) -> np.ndarray:
-    """Each minority row's distances to every row of X, one row of the block each."""
-    return np.array([_row_distances(X, X[i]) for i in minority_idx])
+def _row_block(A: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Each row of P's distances to every row of A, one row of the block each.
+
+    Row r is :func:`~opfsample.cluster._row_distances` of ``P[r]``, bit for bit.
+    """
+    out = np.empty((P.shape[0], A.shape[0]))
+    for r, p in enumerate(P):
+        out[r] = _row_distances(A, p)
+    return out
 
 
 def neighbor_orders(X, y, minority: int, width: int) -> NeighborOrders:
@@ -89,7 +95,7 @@ def neighbor_orders(X, y, minority: int, width: int) -> NeighborOrders:
     """
     X = np.asarray(X, dtype=np.float64)
     minority_idx = np.flatnonzero(np.asarray(y) == minority)
-    block = _minority_block(X, minority_idx)
+    block = _row_block(X, X[minority_idx])
     return NeighborOrders(_neighbor_order(block, minority_idx)[:, :width],
                           _neighbor_order(block[:, minority_idx])[:, :width])
 
@@ -143,9 +149,14 @@ def _majority_neighbor_counts(
     X: np.ndarray, y: np.ndarray, minority: int, kappa: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minority row indices, each one's majority count among its kappa all-class
-    neighbors, and the minority columns of their one distance block to every row."""
+    neighbors, and the minority columns of their one distance block to every row.
+
+    The samplers read the same counts through :func:`neighbor_orders`; this
+    function is the unchecked, single-kappa form, kept because the benchmark's
+    layer trace (``bench/layers.py``) hooks it by name.
+    """
     minority_idx = np.flatnonzero(y == minority)
-    block = _minority_block(X, minority_idx)
+    block = _row_block(X, X[minority_idx])
     counts = _majority_counts(y, _neighbor_order(block, minority_idx)[:, :kappa], minority)
     return minority_idx, counts, block[:, minority_idx]
 
@@ -154,15 +165,14 @@ def _minority_neighbors(X, y, cfg: NeighborConfig, minority_label, n_new: int = 
                         orders: NeighborOrders | None = None):
     """Checked inputs: the minority rows, their majority-neighbor counts and
     kappa nearest minority neighbors; the minority label is inferred if not
-    given. ``orders`` replaces the distance block and its sorts."""
+    given. Without ``orders``, they are computed at a width of kappa."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     minority = minority_label_of(y) if minority_label is None else int(minority_label)
     n_min = int(np.count_nonzero(y == minority))
     _check(n_min, cfg.kappa, n_new)
     if orders is None:
-        minority_idx, counts, minority_dist = _majority_neighbor_counts(X, y, minority, cfg.kappa)
-        return X[minority_idx], counts, _neighbor_order(minority_dist)[:, :cfg.kappa]
+        orders = neighbor_orders(X, y, minority, cfg.kappa)
     counts = _majority_counts(y, _prefix(orders.all_class, n_min, cfg.kappa), minority)
     return X[y == minority], counts, _prefix(orders.minority, n_min, cfg.kappa)
 

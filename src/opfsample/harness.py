@@ -14,8 +14,9 @@ is fixed, so no preprocessing statistic or tuning decision can read it.
 
 Each method is one entry of ``_METHOD_TABLE``: its default grid and its
 sampler call. ``METHODS`` lists the table's keys in order. The O²PF chain
-picks the forest of least cut with ``_least_cut`` and draws from its Gaussians
-with ``_o2pf_rows``; the grid and :func:`oversample_to_count` share both.
+sweeps and picks the forest of least cut with ``_O2pfSweep`` and draws from
+its Gaussians with ``_o2pf_rows``; the grid and :func:`oversample_to_count`
+share both.
 
 Each reported statistic (recall, accuracy, F1, the chosen grid value) is one
 entry of ``_STATS``, with the trial field it is taken over and its text label.
@@ -32,17 +33,18 @@ from pathlib import Path
 
 import numpy as np
 
+from . import baselines
 from .baselines import (
     NeighborConfig,
     NeighborOrders,
-    _neighbor_table,
+    _row_block,
     adasyn,
     borderline_smote,
     neighbor_orders,
     smote,
 )
 from .classifier import OpfClassifier
-from .cluster import ClusterForest, _row_distances, pairwise_distances, sweep_normalized_cuts
+from .cluster import pairwise_distances, sweep_normalized_cuts
 from .data import SPLIT_RATIOS, Dataset, impute_mean, load_csv, split, standardize
 from .errors import ExperimentError
 from .metrics import score, wilcoxon_signed_rank
@@ -70,7 +72,7 @@ _METHOD_TABLE = {
     "none": ((), None),
     "o2pf": (
         DEFAULT_K_MAX_GRID,
-        lambda a, g, seed: _o2pf_rows(a.gaussians(g), a.n_new, seed),
+        lambda a, g, seed: _o2pf_rows(a.sweep.gaussians(g), a.n_new, seed),
     ),
     "smote": (
         DEFAULT_KAPPA_GRID,
@@ -197,6 +199,24 @@ def _least_cut(cuts) -> int:
     return int(np.argmin(cuts))
 
 
+class _O2pfSweep:
+    """The clustering sweep of some minority rows, k in 1..k_max up to the first
+    zero cut, and the Gaussians of the forests it selects, each fitted once."""
+
+    def __init__(self, minority_X: np.ndarray, k_max: int):
+        self.minority_X = minority_X
+        self.cuts, self.forests = sweep_normalized_cuts(minority_X, k_max)
+        self._gaussians: dict[int, list[ClusterGaussian]] = {}
+
+    def gaussians(self, g: int) -> list[ClusterGaussian]:
+        """Gaussians of the forest of least cut among the first ``g``, the forest a
+        sweep with ``k_max = g`` selects."""
+        k = _least_cut(self.cuts[:g])
+        if k not in self._gaussians:
+            self._gaussians[k] = gaussians_from_forest(self.minority_X, self.forests[k])
+        return self._gaussians[k]
+
+
 def _o2pf_rows(clusters: list[ClusterGaussian], n_new: int, seed: int) -> np.ndarray:
     """Draw ``n_new`` O²PF rows from a forest's Gaussians, split by cluster size."""
     return synthesize_plan(clusters, allocate(clusters, n_new), seed)
@@ -211,8 +231,7 @@ def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Datas
     minority_X = ds.features[ds.labels == ds.minority_label]
     if minority_X.shape[0] < 2:
         raise ValueError("need at least two minority samples to cluster")
-    cuts, forests = sweep_normalized_cuts(minority_X, k_max)
-    clusters = gaussians_from_forest(minority_X, forests[_least_cut(cuts)])
+    clusters = _O2pfSweep(minority_X, k_max).gaussians(k_max)
     return append_minority_rows(ds, _o2pf_rows(clusters, n_new, seed))
 
 
@@ -229,10 +248,11 @@ class _TrialAugmenter:
 
     - O²PF: the per-k clustering :attr:`sweep`, up to the largest grid value
       or the first zero normalized cut, whichever comes first. Grid value g
-      takes the forest of least cut among the first g (:meth:`gaussians`),
-      which matches :func:`oversample_to_count` with ``k_max = g``; cuts past
-      the first zero read ``inf`` and their forests are never built, since a
-      cut is never negative and the first minimum wins. Each selected forest
+      takes the forest of least cut among the first g
+      (:meth:`_O2pfSweep.gaussians`), which matches
+      :func:`oversample_to_count` with ``k_max = g``; cuts past the first
+      zero read ``inf`` and their forests are never built, since a cut is
+      never negative and the first minimum wins. Each selected forest
       gets its Gaussians fitted once, and each Gaussian its
       eigendecomposition once, however many grid values select it.
     - SMOTE: the minority rows' neighbor order :attr:`minority_order`.
@@ -284,26 +304,17 @@ class _TrialAugmenter:
         self.n_new = n_new
         self.minority_X = train.features[train.labels == train.minority_label]
         self.grid = tuple(sorted({min(g, n_min - 1) for g in values})) if n_new > 0 else values
-        self._gaussians: dict[int, list[ClusterGaussian]] = {}
 
     @cached_property
-    def sweep(self) -> tuple[np.ndarray, list[ClusterForest]]:
-        """Cut and forest per k, up to the largest grid value or the first zero cut."""
-        return sweep_normalized_cuts(self.minority_X, max(self.grid))
-
-    def gaussians(self, g: int) -> list[ClusterGaussian]:
-        """Gaussians of the forest of least cut among the sweep's first ``g``, fitted once."""
-        cuts, forests = self.sweep
-        k = _least_cut(cuts[:g])
-        if k not in self._gaussians:
-            self._gaussians[k] = gaussians_from_forest(self.minority_X, forests[k])
-        return self._gaussians[k]
+    def sweep(self) -> _O2pfSweep:
+        """The O²PF sweep up to the largest grid value or the first zero cut."""
+        return _O2pfSweep(self.minority_X, max(self.grid))
 
     @cached_property
     def minority_order(self) -> np.ndarray:
         """The minority rows' neighbor order among themselves, ``max(grid)`` columns wide
         (a copy, so the full order is freed)."""
-        return _neighbor_table(self.minority_X, max(self.grid)).copy()
+        return baselines._neighbor_table(self.minority_X, max(self.grid)).copy()
 
     @cached_property
     def orders(self) -> NeighborOrders:
@@ -319,11 +330,8 @@ class _TrialAugmenter:
     def train_distances(self, X: np.ndarray) -> np.ndarray:
         """Each row of ``X``'s distances to the training rows, the first columns of every
         augmented set; a cell that overflows reads inf, which prediction rejects."""
-        out = np.empty((X.shape[0], self.train.n_samples))
         with np.errstate(over="ignore", invalid="ignore"):
-            for r, x in enumerate(X):
-                out[r] = _row_distances(self.train.features, x)
-        return out
+            return _row_block(self.train.features, X)
 
     def augment(self, g: int | None) -> Dataset:
         if self.n_new == 0:

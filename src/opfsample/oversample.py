@@ -5,7 +5,7 @@ multivariate Gaussian fitted to its members, and synthetic samples are drawn
 per cluster in proportion to cluster size. Synthesis happens in whatever
 feature space the input lives in (the harness passes standardized features)
 and the synthetic rows are appended after the original rows, which stay
-untouched. The harness picks the clustering (``harness._least_cut``) and
+untouched. The harness picks the clustering (``harness._O2pfSweep``) and
 draws from its Gaussians (``harness._o2pf_rows``).
 """
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
+from opfsample.baselines import _row_block
 from opfsample.classifier import OpfClassifier, _prim
-from opfsample.cluster import _row_distances, pairwise_distances
+from opfsample.cluster import pairwise_distances
 
 from helpers import (
     classifier_cost_closure,
@@ -322,22 +323,18 @@ def _rounded_fit(seed):
     return OpfClassifier().fit(X, y), X, probes
 
 
-def _probe_block(train, probes):
-    return np.array([_row_distances(train, p) for p in probes])
-
-
 def test_predict_with_known_columns_equals_plain_predict():
     for seed in (51, 52, 53):
         model, X, probes = _rounded_fit(seed)
         plain = model.predict_batch(probes)
-        block = _probe_block(X, probes)
+        block = _row_block(X, probes)
         for t in (0, 1, len(X) // 2, len(X)):
             np.testing.assert_array_equal(model.predict_batch(probes, known=block[:, :t]), plain)
 
 
 def test_predict_rejects_a_misshapen_known_block():
     model, X, probes = _rounded_fit(54)
-    block = _probe_block(X, probes)
+    block = _row_block(X, probes)
     for bad in (block[0], block[:, :, None], block[:-1], np.vstack([block, block[:1]]),
                 np.hstack([block, block[:, :1]])):
         with pytest.raises(ValueError, match="known distances must be"):
@@ -347,7 +344,7 @@ def test_predict_rejects_a_misshapen_known_block():
 def test_predict_checks_known_cells_and_computed_columns_for_finiteness():
     model = OpfClassifier().fit([[0.0], [1.0], [5.0], [6.0]], [0, 0, 1, 1])
     probes = np.array([[0.5], [2.0], [5.5]])
-    block = _probe_block(model.train_features_, probes)
+    block = _row_block(model.train_features_, probes)
     for value in (np.inf, np.nan):
         bad = block.copy()
         bad[1, 0] = value

@@ -291,28 +291,23 @@ def test_each_trial_computes_its_shared_pieces_once(monkeypatch, method):
         monkeypatch.setattr(module, name, spy)
 
     for module, name in ((baselines, "_row_distances"), (baselines, "_neighbor_table"),
-                         (harness, "_row_distances"), (harness, "_neighbor_table"),
                          (classifier, "_row_distances"),
                          (harness, "sweep_normalized_cuts"), (harness, "gaussians_from_forest"),
                          (np.linalg, "eigh")):
         count(module, name)
     report = run_trial(_cfg(method=method, grid=grid, trials=1), trial_seed=3, dataset=ds)
     assert [g for g, _ in report.validation_trace] == list(grid)
-    # one validation x training block, a row per validation probe; each grid
-    # value's validation probes then scan only the synthetic rows
-    assert len(calls["opfsample.harness._row_distances"]) == val.n_samples
+    # one validation x training block, a row per validation probe, then, for
+    # the samplers that read it, one minority x all block, a row per minority
+    # row; each grid value's validation probes scan only the synthetic rows
+    block_rows = [args[0].shape[0] for args, _ in calls["opfsample.baselines._row_distances"]]
+    n_block = train.minority_count if method in ("borderline_smote", "adasyn") else 0
+    assert block_rows == [train.n_samples] * (val.n_samples + n_block)
     n_new = sum(report.augmented_counts) - train.n_samples
     scanned = [args[0].shape[0] for args, _ in calls["opfsample.classifier._row_distances"]]
     assert scanned[:len(grid) * val.n_samples] == [n_new] * (len(grid) * val.n_samples)
-    # one minority x all block, a row per minority row, for the samplers that read it
-    block_rows = [args[0].shape[0] for args, _ in calls["opfsample.baselines._row_distances"]]
-    if method in ("borderline_smote", "adasyn"):
-        assert block_rows == [train.n_samples] * train.minority_count
-    else:
-        assert block_rows == []
     # SMOTE sorts its minority order once; no sampler sorts one of its own
-    assert len(calls["opfsample.harness._neighbor_table"]) == (method == "smote")
-    assert calls["opfsample.baselines._neighbor_table"] == []
+    assert len(calls["opfsample.baselines._neighbor_table"]) == (method == "smote")
     # one set of Gaussians per selected forest, one eigendecomposition per Gaussian
     fitted = calls["opfsample.harness.gaussians_from_forest"]
     if method == "o2pf":
