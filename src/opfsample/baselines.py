@@ -20,8 +20,9 @@ hold, so callers always get the requested count.
 
 Neighbor orders do not depend on kappa, so a caller that tries several kappa
 values on one training set can sort once: :func:`neighbor_orders` computes the
-minority rows' distances to every row as one block and keeps the first
-``width`` columns of both orders. ``borderline_smote`` and ``adasyn`` take
+minority rows' distances to every row as one
+:func:`~opfsample.cluster.distance_block` and keeps the first ``width``
+columns of both orders. ``borderline_smote`` and ``adasyn`` take
 that result as ``orders`` and build it at a width of kappa without it;
 ``smote`` takes its minority order (or :func:`_neighbor_table` at that width)
 as ``minority_order``. Each reads the first kappa columns, and a prefix of a
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import _neighbor_order, _row_distances, pairwise_distances
+from .cluster import _neighbor_order, distance_block, pairwise_distances
 from .data import _own, minority_label_of
 from .oversample import largest_remainder
 
@@ -76,17 +77,6 @@ def _neighbor_table(X: np.ndarray, k: int) -> np.ndarray:
     return _neighbor_order(pairwise_distances(X))[:, :k]
 
 
-def _row_block(A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Each row of P's distances to every row of A, one row of the block each.
-
-    Row r is :func:`~opfsample.cluster._row_distances` of ``P[r]``, bit for bit.
-    """
-    out = np.empty((P.shape[0], A.shape[0]))
-    for r, p in enumerate(P):
-        out[r] = _row_distances(A, p)
-    return out
-
-
 def neighbor_orders(X, y, minority: int, width: int) -> NeighborOrders:
     """The minority rows' all-class and minority neighbor orders, ``width`` columns each.
 
@@ -95,7 +85,7 @@ def neighbor_orders(X, y, minority: int, width: int) -> NeighborOrders:
     """
     X = np.asarray(X, dtype=np.float64)
     minority_idx = np.flatnonzero(np.asarray(y) == minority)
-    block = _row_block(X, X[minority_idx])
+    block = distance_block(X, X[minority_idx])
     return NeighborOrders(_neighbor_order(block, minority_idx)[:, :width],
                           _neighbor_order(block[:, minority_idx])[:, :width])
 
@@ -156,7 +146,7 @@ def _majority_neighbor_counts(
     layer trace (``bench/layers.py``) hooks it by name.
     """
     minority_idx = np.flatnonzero(y == minority)
-    block = _row_block(X, X[minority_idx])
+    block = distance_block(X, X[minority_idx])
     counts = _majority_counts(y, _neighbor_order(block, minority_idx)[:, :kappa], minority)
     return minority_idx, counts, block[:, minority_idx]
 

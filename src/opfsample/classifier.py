@@ -7,8 +7,9 @@ of the complete graph is a minimum spanning forest, so the costs come from two
 linear passes over the order in which Prim's algorithm joins the nodes. Every
 single-class subtree left by cutting the tree's cross-class arcs holds a
 prototype of its own class, so each training sample keeps its own label.
-Prediction evaluates the same cost for a new point against every training
-sample.
+Prediction scores a batch of probes at once: it takes the probes' distances
+to every training sample as one block, raises each cell to that sample's cost,
+and reads the label of each row's first minimum.
 
 Fits that share their leading training rows can share the distances among
 those rows: ``fit`` takes them as ``known_dist`` and computes only the rest.
@@ -26,7 +27,7 @@ import json
 
 import numpy as np
 
-from .cluster import _row_distances, pairwise_distances
+from .cluster import distance_block, pairwise_distances
 from .data import _frozen
 
 SERIAL_FORMAT_VERSION = 2
@@ -141,45 +142,35 @@ class OpfClassifier:
     def predict_batch(self, X, known=None) -> np.ndarray:
         """Full-scan prediction for a batch; ties go to the lowest index.
 
+        Each probe's value at a training sample is the larger of that
+        sample's cost and their distance, and the probe takes the label of
+        its smallest value.
+
         ``known``, when given, must hold each probe's distances to the first
-        t training rows, as :func:`~opfsample.cluster._row_distances` gives
+        t training rows, as :func:`~opfsample.cluster.distance_block` gives
         them; only the remaining columns are computed, and the labels are the
         same as without it. A block that is not ``len(X)`` x t with t at most
         the training row count raises ``ValueError``.
 
         A probe whose distance to a training sample is not finite (it
-        overflows, or the probe holds inf) raises ``ValueError``, as in
-        :meth:`fit`; a known cell counts as one of those distances.
+        overflows, or the probe holds inf) raises ``ValueError`` naming the
+        first such probe, as in :meth:`fit`; a known cell that is NaN or inf
+        counts as one of those distances.
         """
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
-        n = self.train_features_.shape[0]
         if X.ndim != 2 or X.shape[1] != self.train_features_.shape[1]:
             raise ValueError("batch shape does not match the training features")
         if np.isnan(X).any():
             raise ValueError("probes must not contain NaN")
-        t = 0
-        if known is not None:
-            known = np.asarray(known, dtype=np.float64)
-            if known.ndim != 2 or known.shape[0] != X.shape[0] or known.shape[1] > n:
-                raise ValueError(
-                    f"known distances must be a {X.shape[0]} x t block with t <= {n}, "
-                    f"got shape {known.shape}"
-                )
-            t = known.shape[1]
-        rest = self.train_features_[t:]
-        d = np.empty(n)
-        labels = np.empty(X.shape[0], dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore"):
-            for r in range(X.shape[0]):
-                if t:
-                    d[:t] = known[r]
-                d[t:] = _row_distances(rest, X[r])
-                if not np.isfinite(d).all():
-                    raise ValueError(f"probe {r} must give finite distances to training rows")
-                np.maximum(self.cost_, d, out=d)
-                labels[r] = self.assigned_label_[int(d.argmin())]
-        return labels
+            d = distance_block(self.train_features_, X, known)
+        # as in fit, a NaN or inf cell wins its row's max, with no v x n temporary
+        bad = np.flatnonzero(~np.isfinite(d.max(axis=1)))
+        if bad.size:
+            raise ValueError(f"probe {bad[0]} must give finite distances to training rows")
+        np.maximum(self.cost_, d, out=d)
+        return self.assigned_label_[d.argmin(axis=1)]
 
     def to_json(self) -> str:
         """Serialize the fitted model to a versioned JSON blob."""

@@ -85,7 +85,7 @@ def read_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; keys mirror the long flag names."""
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

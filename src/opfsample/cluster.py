@@ -5,6 +5,12 @@ neighborhood; a max-priority competition then grows one optimum-path tree per
 emergent density maximum, so the number of clusters is never supplied by the
 caller. The neighborhood size k is selected by minimizing a normalized cut
 over a search range.
+
+The package's exact Euclidean distances all come from this module:
+:func:`pairwise_distances` for the square matrix of one set, each pair
+computed once, and :func:`distance_block` for probe rows against the rows of
+another set. Both compute a cell as the square root of its feature-ordered
+sum of squared differences, so a pair gives the same float in either.
 """
 
 from __future__ import annotations
@@ -78,6 +84,34 @@ class ClusterForest:
 def _row_distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Euclidean distance from ``x`` to each row of ``A``."""
     return np.sqrt(((A - x) ** 2).sum(axis=1))
+
+
+def distance_block(A: np.ndarray, P: np.ndarray, known: np.ndarray | None = None) -> np.ndarray:
+    """Each row of ``P``'s exact distances to every row of ``A``, one row of the block each.
+
+    Row r is :func:`_row_distances` of ``P[r]``, bit for bit: each cell is
+    computed on its own, so a cell does not depend on the other columns.
+
+    ``known`` may hold the block's first t columns; they are copied in and only
+    columns t..len(A)-1 are computed. A block that is not ``len(P)`` x t with
+    t at most ``len(A)`` raises ``ValueError``.
+    """
+    n = A.shape[0]
+    out = np.empty((P.shape[0], n))
+    t = 0
+    if known is not None:
+        known = np.asarray(known, dtype=np.float64)
+        if known.ndim != 2 or known.shape[0] != P.shape[0] or known.shape[1] > n:
+            raise ValueError(
+                f"known distances must be a {P.shape[0]} x t block with t <= {n}, "
+                f"got shape {known.shape}"
+            )
+        t = known.shape[1]
+        out[:, :t] = known
+    rest = A[t:]
+    for r, p in enumerate(P):
+        out[r, t:] = _row_distances(rest, p)
+    return out
 
 
 def pairwise_distances(X: np.ndarray, known: np.ndarray | None = None) -> np.ndarray:

@@ -186,7 +186,7 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
     otherwise, smallest first.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             reader = csv.reader(fh)
             lines = [(reader.line_num, [c.strip() for c in row]) for row in reader]
     except OSError as exc:

@@ -37,14 +37,13 @@ from . import baselines
 from .baselines import (
     NeighborConfig,
     NeighborOrders,
-    _row_block,
     adasyn,
     borderline_smote,
     neighbor_orders,
     smote,
 )
 from .classifier import OpfClassifier
-from .cluster import pairwise_distances, sweep_normalized_cuts
+from .cluster import distance_block, pairwise_distances, sweep_normalized_cuts
 from .data import SPLIT_RATIOS, Dataset, impute_mean, load_csv, split, standardize
 from .errors import ExperimentError
 from .metrics import score, wilcoxon_signed_rank
@@ -239,8 +238,9 @@ class _TrialAugmenter:
     """Builds the augmented training set of each grid value and trains it once.
 
     :attr:`n_new` and :attr:`grid` are set once. A method without a grid
-    ("none") synthesizes nothing. When rows are synthesized, the grid values
-    are clamped to the minority count minus one, the largest k or kappa.
+    ("none") synthesizes nothing. :attr:`grid` holds the distinct grid values
+    in ascending order; when rows are synthesized, they are first clamped to
+    the minority count minus one, the largest k or kappa.
 
     :meth:`augment` calls the method's sampler from ``_METHOD_TABLE``. What
     depends only on the training partition is computed once per trial, on
@@ -303,7 +303,7 @@ class _TrialAugmenter:
             )
         self.n_new = n_new
         self.minority_X = train.features[train.labels == train.minority_label]
-        self.grid = tuple(sorted({min(g, n_min - 1) for g in values})) if n_new > 0 else values
+        self.grid = tuple(sorted({min(g, n_min - 1) if n_new > 0 else g for g in values}))
 
     @cached_property
     def sweep(self) -> _O2pfSweep:
@@ -331,7 +331,7 @@ class _TrialAugmenter:
         """Each row of ``X``'s distances to the training rows, the first columns of every
         augmented set; a cell that overflows reads inf, which prediction rejects."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return _row_block(self.train.features, X)
+            return distance_block(self.train.features, X)
 
     def augment(self, g: int | None) -> Dataset:
         if self.n_new == 0:
@@ -351,16 +351,19 @@ def select_hyperparameter(augmenter: _TrialAugmenter, val: Dataset):
 
     Returns the winner, its model and augmented class counts, and the full
     (grid value, validation recall) trace. Method "none" has no grid and
-    returns (None, model, counts, ()) for the unaugmented training set.
+    returns (None, model, counts, ()) for the unaugmented training set. When
+    nothing is synthesized, every grid value trains the same set, so it is
+    fitted and scored once and every grid value gets that recall.
     """
     if not augmenter.grid:
         return (None, *augmenter.fit(None), ())
     known = augmenter.train_distances(val.features)
     chosen, best, trace = None, -math.inf, []
     for g in augmenter.grid:
-        model, counts = augmenter.fit(g)
-        labels = model.predict_batch(val.features, known=known)
-        recall = score(val.labels, labels, val.minority_label).recall
+        if augmenter.n_new or not trace:  # without synthesis every value trains the same set
+            model, counts = augmenter.fit(g)
+            labels = model.predict_batch(val.features, known=known)
+            recall = score(val.labels, labels, val.minority_label).recall
         trace.append((g, recall))
         if recall > best:  # the grid ascends, so a tie keeps the smaller value
             chosen, best, winner = g, recall, (model, counts)

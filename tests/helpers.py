@@ -486,9 +486,11 @@ def reference_trial(cfg, dataset, seed: int, trial: int = 0) -> TrialReport:
     Every partition is scaled by the training partition's mean and sample
     std (a zero std divides by 1). One reference clustering sweep serves
     every grid value; each grid value gets its own sampler call, its own
-    distance matrix and its own full-scan predictions. The first grid value
-    of highest validation recall wins, and its set is built and fitted again
-    to score the test partition.
+    distance matrix and its own full-scan predictions. The grid is sorted
+    and deduplicated; when rows are synthesized, it is first clamped to the
+    minority count minus one. The first grid value of highest validation
+    recall wins, and its set is built and fitted again to score the test
+    partition.
     """
     train_raw, val_raw, test_raw = split(dataset, seed)
     train, (val, test) = impute_mean(train_raw, [val_raw, test_raw])
@@ -503,9 +505,7 @@ def reference_trial(cfg, dataset, seed: int, trial: int = 0) -> TrialReport:
         n_new = max(0, n_maj - n_min)
     else:
         n_new = round(cfg.ratio * n_min)
-    grid = cfg.effective_grid
-    if n_new > 0:
-        grid = tuple(sorted({min(g, n_min - 1) for g in grid}))
+    grid = tuple(sorted({min(g, n_min - 1) if n_new > 0 else g for g in cfg.effective_grid}))
     sweep = None
     if cfg.method == "o2pf" and grid and n_new > 0:
         sweep = reference_sweep(train.features[train.labels == train.minority_label], max(grid))

@@ -125,12 +125,12 @@ def test_minority_block_orders_like_the_minority_neighbor_table():
 @pytest.mark.parametrize("sampler", ["borderline_smote", "adasyn"])
 def test_each_sampler_call_makes_one_distance_pass(monkeypatch, sampler):
     X, y = blob_dataset(np.random.default_rng(65), n_maj=30, n_min=12, m=3, sep=1.0)
-    passes, rows = [], []
-    row_distances, pairwise = baselines._row_distances, baselines.pairwise_distances
+    passes, blocks = [], []
+    block, pairwise = baselines.distance_block, baselines.pairwise_distances
 
-    def counted_rows(A, x):
-        rows.append(A.shape[0])
-        return row_distances(A, x)
+    def counted_block(A, P, *args, **kwargs):
+        blocks.append((A, P))
+        return block(A, P, *args, **kwargs)
 
     def counted_pass(*args, **kwargs):
         passes.append("pairwise")
@@ -139,15 +139,17 @@ def test_each_sampler_call_makes_one_distance_pass(monkeypatch, sampler):
     def no_fallback(*args, **kwargs):
         raise AssertionError(f"{sampler} fell back to SMOTE")
 
-    monkeypatch.setattr(baselines, "_row_distances", counted_rows)
+    monkeypatch.setattr(baselines, "distance_block", counted_block)
     monkeypatch.setattr(baselines, "pairwise_distances", counted_pass)
     monkeypatch.setattr(baselines, "smote", no_fallback)
     cfg = NeighborConfig(kappa=3, seed=1)
     out = (borderline_smote(X, y, 20, cfg, minority_label=1) if sampler == "borderline_smote"
            else adasyn(X, y, cfg, 20, minority_label=1))
     assert out.shape == (20, 3)
-    # one block: each minority row against every row, and no second pass
-    assert passes == [] and rows == [X.shape[0]] * 12
+    # one block: the minority rows against every row, and no second pass
+    assert passes == [] and len(blocks) == 1
+    np.testing.assert_array_equal(blocks[0][0], X)
+    np.testing.assert_array_equal(blocks[0][1], X[y == 1])
 
 
 def test_borderline_danger_classification():

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from opfsample.baselines import _row_block
 from opfsample.classifier import OpfClassifier, _prim
-from opfsample.cluster import pairwise_distances
+from opfsample.cluster import distance_block, pairwise_distances
 
 from helpers import (
     classifier_cost_closure,
@@ -112,6 +111,21 @@ def test_predict_matches_full_scan_oracle():
         model.predict_batch(probes),
         [predict_full_scan(X, model.cost_, model.assigned_label_, p) for p in probes],
     )
+    # an integer grid whose second half repeats the first, so rows of both
+    # classes coincide and equal max(cost, d) values decide many labels by
+    # the lowest-index rule, with or without a known prefix of the distances
+    for seed in (45, 46, 47):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, size=(30, 2)).astype(np.float64)
+        X[15:] = X[:15]
+        y = rng.integers(0, 2, size=30)
+        y[[0, 15]] = [0, 1]
+        model = OpfClassifier().fit(X, y)
+        probes = rng.integers(-1, 5, size=(40, 2)).astype(np.float64)
+        want = [predict_full_scan(X, model.cost_, model.assigned_label_, p) for p in probes]
+        block = distance_block(X, probes)
+        for t in (0, 1, len(X) // 2, len(X)):
+            np.testing.assert_array_equal(model.predict_batch(probes, known=block[:, :t]), want)
 
 
 @settings(max_examples=40)
@@ -327,14 +341,14 @@ def test_predict_with_known_columns_equals_plain_predict():
     for seed in (51, 52, 53):
         model, X, probes = _rounded_fit(seed)
         plain = model.predict_batch(probes)
-        block = _row_block(X, probes)
+        block = distance_block(X, probes)
         for t in (0, 1, len(X) // 2, len(X)):
             np.testing.assert_array_equal(model.predict_batch(probes, known=block[:, :t]), plain)
 
 
 def test_predict_rejects_a_misshapen_known_block():
     model, X, probes = _rounded_fit(54)
-    block = _row_block(X, probes)
+    block = distance_block(X, probes)
     for bad in (block[0], block[:, :, None], block[:-1], np.vstack([block, block[:1]]),
                 np.hstack([block, block[:, :1]])):
         with pytest.raises(ValueError, match="known distances must be"):
@@ -344,7 +358,7 @@ def test_predict_rejects_a_misshapen_known_block():
 def test_predict_checks_known_cells_and_computed_columns_for_finiteness():
     model = OpfClassifier().fit([[0.0], [1.0], [5.0], [6.0]], [0, 0, 1, 1])
     probes = np.array([[0.5], [2.0], [5.5]])
-    block = _row_block(model.train_features_, probes)
+    block = distance_block(model.train_features_, probes)
     for value in (np.inf, np.nan):
         bad = block.copy()
         bad[1, 0] = value
@@ -353,3 +367,10 @@ def test_predict_checks_known_cells_and_computed_columns_for_finiteness():
     # the probe overflows in the computed columns, past the known ones
     with pytest.raises(ValueError, match="probe 2 must give finite distances"):
         model.predict_batch([[0.5], [2.0], [1e300]], known=block[:, :1])
+    # of two bad probes, the first is named, whichever of its cells is bad
+    bad = block.copy()
+    bad[2, 0] = np.inf
+    with pytest.raises(ValueError, match="probe 1 must give finite distances"):
+        model.predict_batch([[0.5], [-1e300], [5.5]], known=bad[:, :1])
+    with pytest.raises(ValueError, match="probe 0 must give finite distances"):
+        model.predict_batch([[1e300], [2.0], [5.5]], known=bad[:, :1])

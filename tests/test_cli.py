@@ -339,6 +339,13 @@ def test_config_file_errors(csv_path, tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_config_file_with_a_byte_order_mark(csv_path, tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbftrials = 1\n" + f"data = {csv_path}\nmethod = none\n".encode())
+    assert main(["run", "--config", str(cfg), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["trials"] == 1
+
+
 def test_config_file_that_is_not_utf8_is_a_usage_error(csv_path, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"trials = 2\n\xff\xfe = 3\n")

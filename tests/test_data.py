@@ -112,6 +112,24 @@ def test_load_csv_header_by_name_and_index(tmp_path):
     np.testing.assert_array_equal(ds3.features, ds.features)
 
 
+def test_load_csv_drops_a_utf8_byte_order_mark(tmp_path):
+    # the mark is not part of the first cell, so no data row is read as a header
+    rows = b"1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,0\n7.0,8.0,1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(rows)
+    marked.write_bytes(b"\xef\xbb\xbf" + rows)
+    ds, want = load_csv(marked), load_csv(plain)
+    assert ds.feature_names == want.feature_names == ("f0", "f1")
+    assert ds.n_samples == 4 and ds.minority_label == want.minority_label
+    np.testing.assert_array_equal(ds.features, want.features)
+    np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1])
+    headered = tmp_path / "bom_header.csv"
+    headered.write_bytes(b"\xef\xbb\xbfoutcome,a,b\n0,1,2\n1,3,4\n")
+    ds = load_csv(headered, label_column="outcome")
+    assert ds.feature_names == ("a", "b")
+    np.testing.assert_array_equal(ds.labels, [0, 1])
+
+
 def test_load_csv_label_in_middle_column_with_text_labels(tmp_path):
     path = tmp_path / "mid.csv"
     path.write_text("1.5,N,2.5\n2.5,R,3.5\n0.5,N,1.0\n")

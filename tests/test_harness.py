@@ -256,13 +256,31 @@ def test_each_grid_value_is_trained_once_and_the_winner_scores_test(small_ds, mo
         probes.clear()
         cfg = _cfg(method=method, grid=None if method == "none" else grid, trials=1)
         report = run_trial(cfg, trial_seed=6, dataset=ds)
-        n = len(report.validation_trace)
+        # the balanced set synthesizes nothing, so its one model serves every grid value
+        n = len(report.validation_trace) if ds is small_ds else 1
         assert len(fits) == max(n, 1) and len(probes) == n + 1
         assert probes[:n] == fits[:n]  # each grid value's model scores validation
         winner = 0 if method == "none" else grid.index(report.chosen)
         assert probes[-1] is fits[winner]
     if method != "none":  # the last case tied on every grid value
         assert report.chosen == 4
+
+
+def test_a_grid_without_synthesis_is_sorted_deduplicated_and_fitted_once(small_ds, monkeypatch):
+    fits = []
+    real_fit = classifier.OpfClassifier.fit
+
+    def fit_spy(self, *args, **kwargs):
+        fits.append(self)
+        return real_fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(classifier.OpfClassifier, "fit", fit_spy)
+    cfg = _cfg(grid=(10, 5, 5), trials=1, balance_mode="ratio", ratio=0.0)
+    report = run_trial(cfg, trial_seed=6, dataset=small_ds)
+    ((g0, r0), (g1, r1)) = report.validation_trace
+    assert (g0, g1) == (5, 10) and r0 == r1
+    assert report.chosen == 5 and len(fits) == 1
+    assert sum(report.augmented_counts) == data_split(small_ds, 6)[0].n_samples
 
 
 def _rounded_blobs():
@@ -285,27 +303,34 @@ def test_each_trial_computes_its_shared_pieces_once(monkeypatch, method):
 
         def spy(*args, **kwargs):
             out = real(*args, **kwargs)
-            calls[key].append((args, out))
+            calls[key].append(((*args, *kwargs.values()), out))
             return out
 
         monkeypatch.setattr(module, name, spy)
 
-    for module, name in ((baselines, "_row_distances"), (baselines, "_neighbor_table"),
-                         (classifier, "_row_distances"),
+    for module, name in ((harness, "distance_block"), (baselines, "distance_block"),
+                         (baselines, "_neighbor_table"), (classifier, "distance_block"),
                          (harness, "sweep_normalized_cuts"), (harness, "gaussians_from_forest"),
                          (np.linalg, "eigh")):
         count(module, name)
     report = run_trial(_cfg(method=method, grid=grid, trials=1), trial_seed=3, dataset=ds)
     assert [g for g, _ in report.validation_trace] == list(grid)
-    # one validation x training block, a row per validation probe, then, for
-    # the samplers that read it, one minority x all block, a row per minority
-    # row; each grid value's validation probes scan only the synthetic rows
-    block_rows = [args[0].shape[0] for args, _ in calls["opfsample.baselines._row_distances"]]
-    n_block = train.minority_count if method in ("borderline_smote", "adasyn") else 0
-    assert block_rows == [train.n_samples] * (val.n_samples + n_block)
+    # one validation x training block, then, for the samplers that read it,
+    # one minority x all block
+    ((args, val_block),) = calls["opfsample.harness.distance_block"]
+    assert (args[0].shape[0], args[1].shape[0]) == (train.n_samples, val.n_samples)
+    sampler_blocks = calls["opfsample.baselines.distance_block"]
+    assert len(sampler_blocks) == (method in ("borderline_smote", "adasyn"))
+    for args, _ in sampler_blocks:
+        assert (args[0].shape[0], args[1].shape[0]) == (train.n_samples, train.minority_count)
+    # each grid value's validation prediction is handed the validation block
+    # as its known columns, so it computes only the synthetic ones
     n_new = sum(report.augmented_counts) - train.n_samples
-    scanned = [args[0].shape[0] for args, _ in calls["opfsample.classifier._row_distances"]]
-    assert scanned[:len(grid) * val.n_samples] == [n_new] * (len(grid) * val.n_samples)
+    predicted = calls["opfsample.classifier.distance_block"][:len(grid)]
+    assert len(predicted) == len(grid)
+    for (_, _, known), block in predicted:
+        assert known is val_block and known.shape == (val.n_samples, train.n_samples)
+        assert block.shape == (val.n_samples, train.n_samples + n_new)
     # SMOTE sorts its minority order once; no sampler sorts one of its own
     assert len(calls["opfsample.baselines._neighbor_table"]) == (method == "smote")
     # one set of Gaussians per selected forest, one eigendecomposition per Gaussian
