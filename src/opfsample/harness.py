@@ -12,11 +12,12 @@ applicable to the per-trial recall vectors.
 The test partition is handed to scoring only after the hyperparameter winner
 is fixed, so no preprocessing statistic or tuning decision can read it.
 
-Each method is one entry of ``_METHOD_TABLE``: its default grid and its
-sampler call. ``METHODS`` lists the table's keys in order. The O²PF chain
-sweeps and picks the forest of least cut with ``_O2pfSweep`` and draws from
-its Gaussians with ``_o2pf_rows``; the grid and :func:`oversample_to_count`
-share both.
+Each method is one entry of ``_METHOD_TABLE``: its default grid, what it
+builds once per trial for every grid value to share, and how a grid value
+draws its rows from that. ``METHODS`` lists the table's keys in order. The
+O²PF chain sweeps and picks the forest of least cut with ``_O2pfSweep`` and
+draws from its Gaussians with ``_o2pf_rows``; the grid and
+:func:`oversample_to_count` share both.
 
 Each reported statistic (recall, accuracy, F1, the chosen grid value) is one
 entry of ``_STATS``, with the trial field it is taken over and its text label.
@@ -36,7 +37,6 @@ import numpy as np
 from . import baselines
 from .baselines import (
     NeighborConfig,
-    NeighborOrders,
     adasyn,
     borderline_smote,
     neighbor_orders,
@@ -59,37 +59,64 @@ DEFAULT_K_MAX_GRID = tuple(range(5, 101, 5))
 DEFAULT_KAPPA_GRID = tuple(range(5, 11))
 BALANCE_TO_MAJORITY = "balance_to_majority"
 RATIO_MODE = "ratio"
-# Largest augmented training set a trial may ask for. The classifier keeps its
-# full (rows x rows) float64 distance matrix, which at 20,000 rows is 3.2 GB.
+# Largest augmented training set a trial may ask for. While a synthesizing trial
+# fits, it holds three float64 blocks: the training block (t x t), the fit's own
+# matrix (n x n) and the validation block (v x t), 8t² + 8n² + 8vt bytes for t
+# training, n augmented and v validation rows. With the 70/15/15 split that is
+# about 7.1 GB as t and n near 20,000. A trial that synthesizes nothing holds
+# only its fit's matrix, 8t², 3.2 GB at 20,000 rows. (Arithmetic, not measured.)
 MAX_TRAINING_ROWS = 20_000
 
-# method -> (default grid, sampler). A sampler maps (augmenter, grid value,
-# seed) to synthetic minority rows; "none" synthesizes nothing. Samplers name
-# their functions in their bodies, so the module attribute is looked up on
-# every call and a function replaced on this module is the one that runs.
+
+def _neighbor_orders(a, width):
+    """Borderline-SMOTE's and ADASYN's prepare: the minority rows' neighbor orders."""
+    t = a.train
+    return neighbor_orders(t.features, t.labels, t.minority_label, width)
+
+
+# method -> (default grid, prepare, draw). prepare(augmenter, width) builds once
+# per trial what every grid value shares, width being the largest grid value;
+# draw(augmenter, shared, g, seed) gives grid value g's synthetic minority rows.
+# "none" synthesizes nothing. The lambdas name their functions in their bodies,
+# so the module attribute is looked up on every call and a function replaced on
+# this module is the one that runs.
 _METHOD_TABLE = {
-    "none": ((), None),
+    "none": ((), None, None),
+    # the sweep up to the largest grid value or the first zero cut; grid value g
+    # draws from the Gaussians of the forest of least cut among the first g, as
+    # oversample_to_count with k_max = g does. Cuts past the first zero read inf
+    # and their forests are never built (a cut is never negative and the first
+    # minimum wins); each selected forest's Gaussians are fitted once, with one
+    # eigendecomposition each, however many grid values select it.
     "o2pf": (
         DEFAULT_K_MAX_GRID,
-        lambda a, g, seed: _o2pf_rows(a.sweep.gaussians(g), a.n_new, seed),
+        lambda a, width: _O2pfSweep(a.minority_X, width),
+        lambda a, sweep, g, seed: _o2pf_rows(sweep.gaussians(g), a.n_new, seed),
     ),
+    # the minority rows' neighbor order among themselves (a copy, so the full
+    # order is freed); kappa reads its first kappa columns
     "smote": (
         DEFAULT_KAPPA_GRID,
-        lambda a, g, seed: smote(a.minority_X, a.n_new, NeighborConfig(g, seed),
-                                 minority_order=a.minority_order),
+        lambda a, width: baselines._neighbor_table(a.minority_X, width).copy(),
+        lambda a, order, g, seed: smote(a.minority_X, a.n_new, NeighborConfig(g, seed),
+                                        minority_order=order),
     ),
+    # the minority rows' distances to every training row, one block sorted once
+    # into the all-class and the minority neighbor order
     "borderline_smote": (
         DEFAULT_KAPPA_GRID,
-        lambda a, g, seed: borderline_smote(
+        _neighbor_orders,
+        lambda a, orders, g, seed: borderline_smote(
             a.train.features, a.train.labels, a.n_new, NeighborConfig(g, seed),
-            minority_label=a.train.minority_label, orders=a.orders,
+            minority_label=a.train.minority_label, orders=orders,
         ),
     ),
     "adasyn": (
         DEFAULT_KAPPA_GRID,
-        lambda a, g, seed: adasyn(
+        _neighbor_orders,
+        lambda a, orders, g, seed: adasyn(
             a.train.features, a.train.labels, NeighborConfig(g, seed), a.n_new,
-            minority_label=a.train.minority_label, orders=a.orders,
+            minority_label=a.train.minority_label, orders=orders,
         ),
     ),
 }
@@ -235,44 +262,19 @@ def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Datas
 
 
 class _TrialAugmenter:
-    """Builds the augmented training set of each grid value and trains it once.
+    """Builds the augmented training set of each grid value of one trial.
 
     :attr:`n_new` and :attr:`grid` are set once. A method without a grid
     ("none") synthesizes nothing. :attr:`grid` holds the distinct grid values
     in ascending order; when rows are synthesized, they are first clamped to
     the minority count minus one, the largest k or kappa.
 
-    :meth:`augment` calls the method's sampler from ``_METHOD_TABLE``. What
-    depends only on the training partition is computed once per trial, on
-    first use, and shared by every grid value:
-
-    - O²PF: the per-k clustering :attr:`sweep`, up to the largest grid value
-      or the first zero normalized cut, whichever comes first. Grid value g
-      takes the forest of least cut among the first g
-      (:meth:`_O2pfSweep.gaussians`), which matches
-      :func:`oversample_to_count` with ``k_max = g``; cuts past the first
-      zero read ``inf`` and their forests are never built, since a cut is
-      never negative and the first minimum wins. Each selected forest
-      gets its Gaussians fitted once, and each Gaussian its
-      eigendecomposition once, however many grid values select it.
-    - SMOTE: the minority rows' neighbor order :attr:`minority_order`.
-    - Borderline-SMOTE and ADASYN: the minority rows' distances to every
-      training row, one block sorted once into the all-class and the
-      minority neighbor order (:attr:`orders`).
-
-    Each order keeps only its first ``max(grid)`` columns; grid value kappa
-    reads the first kappa, which is the table a standalone sampler call
-    sorts for that kappa, so every draw is the same.
-
-    Every augmented set starts with the training rows in their original
-    order, so the training partition's distance matrix :attr:`train_dist` is
-    computed once per trial, and each classifier fit extends it. In the same
-    way, :meth:`train_distances` gives the validation partition's distances
-    to the training rows once, and each grid value's prediction computes only
-    the synthetic columns.
-
-    No set is trained twice: the model that wins on the validation partition
-    is the one that scores the test partition.
+    :meth:`augment` draws grid value g's rows with the method's ``draw`` from
+    ``_METHOD_TABLE``. What every grid value reads, :attr:`shared`, is built
+    once per trial by the method's ``prepare``, on first use, at the width of
+    the largest grid value; a grid value reads the prefix a standalone call
+    with that value would build, so every draw is the same. Every augmented
+    set starts with the training rows in their original order.
     """
 
     def __init__(self, train: Dataset, cfg: ExperimentConfig, trial_seed: int):
@@ -306,67 +308,56 @@ class _TrialAugmenter:
         self.grid = tuple(sorted({min(g, n_min - 1) if n_new > 0 else g for g in values}))
 
     @cached_property
-    def sweep(self) -> _O2pfSweep:
-        """The O²PF sweep up to the largest grid value or the first zero cut."""
-        return _O2pfSweep(self.minority_X, max(self.grid))
+    def shared(self):
+        """What every grid value's draw reads, from the method's ``prepare``."""
+        return _METHOD_TABLE[self.cfg.method][1](self, max(self.grid))
 
-    @cached_property
-    def minority_order(self) -> np.ndarray:
-        """The minority rows' neighbor order among themselves, ``max(grid)`` columns wide
-        (a copy, so the full order is freed)."""
-        return baselines._neighbor_table(self.minority_X, max(self.grid)).copy()
-
-    @cached_property
-    def orders(self) -> NeighborOrders:
-        """The minority rows' all-class and minority neighbor orders, ``max(grid)`` columns wide."""
-        t = self.train
-        return neighbor_orders(t.features, t.labels, t.minority_label, max(self.grid))
-
-    @cached_property
-    def train_dist(self) -> np.ndarray:
-        """Distance matrix of the training partition, the first rows of every augmented set."""
-        return pairwise_distances(self.train.features)
-
-    def train_distances(self, X: np.ndarray) -> np.ndarray:
-        """Each row of ``X``'s distances to the training rows, the first columns of every
-        augmented set; a cell that overflows reads inf, which prediction rejects."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return distance_block(self.train.features, X)
-
-    def augment(self, g: int | None) -> Dataset:
-        if self.n_new == 0:
-            return self.train
-        sample = _METHOD_TABLE[self.cfg.method][1]
-        return append_minority_rows(self.train, sample(self, g, derive_seed(self.trial_seed, g)))
-
-    def fit(self, g: int | None) -> tuple[OpfClassifier, tuple[int, int]]:
-        """Train on the set augmented with ``g``; return the model and the set's class counts."""
-        aug = self.augment(g)
-        model = OpfClassifier().fit(aug.features, aug.labels, known_dist=self.train_dist)
-        return model, aug.class_counts
+    def augment(self, g: int) -> Dataset:
+        """The training set followed by grid value ``g``'s :attr:`n_new` synthetic rows."""
+        draw = _METHOD_TABLE[self.cfg.method][2]
+        rows = draw(self, self.shared, g, derive_seed(self.trial_seed, g))
+        return append_minority_rows(self.train, rows)
 
 
 def select_hyperparameter(augmenter: _TrialAugmenter, val: Dataset):
     """Pick the grid value maximizing validation minority recall (ties go low).
 
     Returns the winner, its model and augmented class counts, and the full
-    (grid value, validation recall) trace. Method "none" has no grid and
-    returns (None, model, counts, ()) for the unaugmented training set. When
-    nothing is synthesized, every grid value trains the same set, so it is
-    fitted and scored once and every grid value gets that recall.
+    (grid value, validation recall) trace. No set is trained twice: the
+    winner's model is the one that scores the test partition.
+
+    When nothing is synthesized (method "none", ratio 0, or a balanced
+    training set), every grid value would train the training set itself, so
+    it is fitted once, with no shared block, and scored once; every grid value
+    gets that recall and the smallest wins. Method "none" has no grid and
+    returns (None, model, counts, ()).
+
+    Otherwise the grid values share two blocks, built here once per trial:
+    the training partition's distance matrix, which each fit extends, and the
+    validation rows' distances to the training rows, so each grid value's
+    prediction computes only the synthetic columns.
     """
-    if not augmenter.grid:
-        return (None, *augmenter.fit(None), ())
-    known = augmenter.train_distances(val.features)
+    train = augmenter.train
+    if not augmenter.n_new:
+        model = OpfClassifier().fit(train.features, train.labels)
+        if not augmenter.grid:
+            return None, model, train.class_counts, ()
+        recall = score(val.labels, model.predict_batch(val.features), val.minority_label).recall
+        trace = tuple((g, recall) for g in augmenter.grid)
+        return augmenter.grid[0], model, train.class_counts, trace
+    # a cell that overflows reads inf, which prediction rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        known = distance_block(train.features, val.features)
+    train_dist = pairwise_distances(train.features)
     chosen, best, trace = None, -math.inf, []
     for g in augmenter.grid:
-        if augmenter.n_new or not trace:  # without synthesis every value trains the same set
-            model, counts = augmenter.fit(g)
-            labels = model.predict_batch(val.features, known=known)
-            recall = score(val.labels, labels, val.minority_label).recall
+        aug = augmenter.augment(g)
+        model = OpfClassifier().fit(aug.features, aug.labels, known_dist=train_dist)
+        labels = model.predict_batch(val.features, known=known)
+        recall = score(val.labels, labels, val.minority_label).recall
         trace.append((g, recall))
         if recall > best:  # the grid ascends, so a tie keeps the smaller value
-            chosen, best, winner = g, recall, (model, counts)
+            chosen, best, winner = g, recall, (model, aug.class_counts)
     return (chosen, *winner, tuple(trace))
 
 

@@ -98,13 +98,16 @@ _BL_Y = np.array([1, 1, 1, 1, 1, 0, 0, 0])
 def test_majority_neighbor_counts_match_brute_force():
     X, y = blob_dataset(np.random.default_rng(63), n_maj=30, n_min=12, m=3, sep=1.0)
     minority = np.flatnonzero(y == 1)
+    orders = neighbor_orders(X, y, 1, 7)  # the samplers' path: one order for every kappa
     for kappa in (1, 3, 7):
-        idx, counts, minority_dist = _majority_neighbor_counts(X, y, 1, kappa)
         knn = brute_force_knn(X, kappa)
+        want = [sum(int(y[j] != 1) for j in knn[i]) for i in minority]
+        idx, counts, minority_dist = _majority_neighbor_counts(X, y, 1, kappa)
         np.testing.assert_array_equal(idx, minority)
         assert counts.dtype == np.int64
-        assert counts.tolist() == [sum(int(y[j] != 1) for j in knn[i]) for i in minority]
+        assert counts.tolist() == want
         np.testing.assert_array_equal(minority_dist, pairwise_rows(X)[np.ix_(minority, minority)])
+        assert (y[orders.all_class[:, :kappa]] != 1).sum(axis=1).tolist() == want
 
 
 def test_minority_block_orders_like_the_minority_neighbor_table():
@@ -115,11 +118,12 @@ def test_minority_block_orders_like_the_minority_neighbor_table():
     y[rng.choice(40, size=14, replace=False)] = 1
     minority = np.flatnonzero(y == 1)
     n_min = minority.size
+    orders = neighbor_orders(X, y, 1, n_min - 1)  # the samplers' path: one order for every k
     for k in (1, 5, n_min - 1):
+        want = _neighbor_table(X[minority], k)
         minority_dist = _majority_neighbor_counts(X, y, 1, k)[2]
-        np.testing.assert_array_equal(
-            _neighbor_order(minority_dist)[:, :k], _neighbor_table(X[minority], k)
-        )
+        np.testing.assert_array_equal(_neighbor_order(minority_dist)[:, :k], want)
+        np.testing.assert_array_equal(orders.minority[:, :k], want)
 
 
 @pytest.mark.parametrize("sampler", ["borderline_smote", "adasyn"])

@@ -154,14 +154,47 @@ def test_row_cap_ignores_method_none(small_ds):
     assert report.augmented_counts == train.class_counts
 
 
-@pytest.mark.parametrize("mode", [("balance_to_majority", 1.0), ("ratio", 1.0), ("ratio", 1e308)])
-def test_method_none_synthesizes_nothing(small_ds, mode):
-    train, _, _ = data_split(small_ds, 2)
-    balance_mode, ratio = mode
-    aug = _TrialAugmenter(train, _cfg(method="none", grid=None, balance_mode=balance_mode,
-                                      ratio=ratio), 2)
-    assert aug.n_new == 0 and aug.grid == ()
-    assert aug.augment(None) is train
+@pytest.mark.parametrize("mode", [
+    ("none", None, "balance_to_majority", 1.0),
+    ("none", None, "ratio", 1.0),
+    ("none", None, "ratio", 1e308),
+    ("smote", (6, 5, 5), "ratio", 0.0),
+])
+def test_method_none_synthesizes_nothing(small_ds, monkeypatch, mode):
+    method, grid, balance_mode, ratio = mode
+    cfg = _cfg(method=method, grid=grid, trials=1, balance_mode=balance_mode, ratio=ratio)
+    train, val, _ = data_split(small_ds, 2)
+    aug = _TrialAugmenter(train, cfg, 2)
+    assert aug.n_new == 0 and aug.grid == (() if grid is None else (5, 6))
+    fits, probes = [], []
+    real_fit, real_predict = classifier.OpfClassifier.fit, classifier.OpfClassifier.predict_batch
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a shared distance block was built for a single fit")
+
+    def fit_spy(self, X, y, known_dist=None):
+        fits.append(known_dist)
+        return real_fit(self, X, y, known_dist=known_dist)
+
+    def predict_spy(self, X, known=None):
+        probes.append(len(X))
+        return real_predict(self, X, known=known)
+
+    monkeypatch.setattr(harness, "pairwise_distances", no_block)
+    monkeypatch.setattr(harness, "distance_block", no_block)
+    monkeypatch.setattr(classifier.OpfClassifier, "fit", fit_spy)
+    monkeypatch.setattr(classifier.OpfClassifier, "predict_batch", predict_spy)
+    report = run_trial(cfg, trial_seed=2, dataset=small_ds)
+    # one plain fit of the training set, with no shared block built for it
+    assert fits == [None]
+    assert report.augmented_counts == train.class_counts
+    if grid is None:  # only the test partition is predicted
+        assert report.validation_trace == () and report.chosen is None
+        assert len(probes) == 1
+    else:  # one validation prediction gives every grid value its recall
+        ((g0, r0), (g1, r1)) = report.validation_trace
+        assert (g0, g1) == (5, 6) and r0 == r1 and report.chosen == 5
+        assert probes[0] == val.n_samples and len(probes) == 2
 
 
 def test_grid_clamped_to_minority_count(small_ds):
