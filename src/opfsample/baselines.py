@@ -12,8 +12,9 @@ share that draw and differ only in how interpolation sources are chosen:
   majority share of its all-class neighborhood.
 
 Every sampler checks its inputs the same way before any work, also when no
-row is requested: at least two minority samples, kappa at most the minority
-count minus one, and a nonnegative count; otherwise ``ValueError``.
+row is requested: finite features, at least two minority samples, kappa at
+most the minority count minus one, and a nonnegative count; otherwise
+``ValueError``.
 Borderline-SMOTE with an empty danger set, and ADASYN with all-zero weights,
 fall back to plain SMOTE (logged) on the minority neighbor order they already
 hold, so callers always get the requested count.
@@ -51,8 +52,9 @@ class NeighborConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.kappa, (int, np.integer)) or self.kappa < 1:
+        if isinstance(self.kappa, bool) or not isinstance(self.kappa, (int, np.integer)) or self.kappa < 1:
             raise ValueError("kappa must be a positive integer")
+        object.__setattr__(self, "kappa", int(self.kappa))
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,9 @@ def _prefix(order: np.ndarray, n_rows: int, kappa: int) -> np.ndarray:
     return order[:, :kappa]
 
 
-def _check(n_min: int, kappa: int, n_new: int) -> None:
+def _check(X: np.ndarray, n_min: int, kappa: int, n_new: int) -> None:
+    if not np.isfinite(X).all():
+        raise ValueError("sampler input must be finite")
     if n_min < 2:
         raise ValueError("need at least two minority samples")
     if kappa > n_min - 1:
@@ -123,7 +127,7 @@ def smote(minority_X: np.ndarray, n_new: int, cfg: NeighborConfig, *,
     columns wide; its first kappa columns replace the distances and the sort.
     """
     X = np.asarray(minority_X, dtype=np.float64)
-    _check(X.shape[0], cfg.kappa, n_new)
+    _check(X, X.shape[0], cfg.kappa, n_new)
     table = (_neighbor_table(X, cfg.kappa) if minority_order is None
              else _prefix(minority_order, X.shape[0], cfg.kappa))
     rng = np.random.default_rng(cfg.seed)
@@ -160,7 +164,7 @@ def _minority_neighbors(X, y, cfg: NeighborConfig, minority_label, n_new: int = 
     y = np.asarray(y)
     minority = minority_label_of(y) if minority_label is None else int(minority_label)
     n_min = int(np.count_nonzero(y == minority))
-    _check(n_min, cfg.kappa, n_new)
+    _check(X, n_min, cfg.kappa, n_new)
     if orders is None:
         orders = neighbor_orders(X, y, minority, cfg.kappa)
     counts = _majority_counts(y, _prefix(orders.all_class, n_min, cfg.kappa), minority)

@@ -159,13 +159,13 @@ def _neighbor_order(dist: np.ndarray, rows: np.ndarray | None = None) -> np.ndar
 
 
 def _checked_neighbor_order(X, k: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and neighbor order of ``X``, checked first: ``1 <= k < n``, no NaN cell."""
+    """Distances and neighbor order of ``X``, checked first: ``1 <= k < n``, every cell finite."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"{name} must satisfy 1 <= {name} < n, got {name}={k}, n={n}")
-    if np.isnan(X).any():
-        raise ValueError("clustering input must not contain NaN")
+    if not np.isfinite(X).all():
+        raise ValueError("clustering input must be finite")
     dist = pairwise_distances(X)
     return dist, _neighbor_order(dist)
 

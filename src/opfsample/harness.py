@@ -15,9 +15,10 @@ is fixed, so no preprocessing statistic or tuning decision can read it.
 Each method is one entry of ``_METHOD_TABLE``: its default grid, what it
 builds once per trial for every grid value to share, and how a grid value
 draws its rows from that. ``METHODS`` lists the table's keys in order. The
-O²PF chain sweeps and picks the forest of least cut with ``_O2pfSweep`` and
-draws from its Gaussians with ``_o2pf_rows``; the grid and
-:func:`oversample_to_count` share both.
+O²PF chain is one object, ``_O2pfSweep``: it sweeps the minority rows once, and
+its ``rows`` picks a grid value's forest of least cut and draws from that
+forest's Gaussians. The grid and :func:`oversample_to_count` both draw through
+it.
 
 Each reported statistic (recall, accuracy, F1, the chosen grid value) is one
 entry of ``_STATS``, with the trial field it is taken over and its text label.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -82,16 +84,11 @@ def _neighbor_orders(a, width):
 # this module is the one that runs.
 _METHOD_TABLE = {
     "none": ((), None, None),
-    # the sweep up to the largest grid value or the first zero cut; grid value g
-    # draws from the Gaussians of the forest of least cut among the first g, as
-    # oversample_to_count with k_max = g does. Cuts past the first zero read inf
-    # and their forests are never built (a cut is never negative and the first
-    # minimum wins); each selected forest's Gaussians are fitted once, with one
-    # eigendecomposition each, however many grid values select it.
+    # one sweep up to the largest grid value; g draws as oversample_to_count with k_max = g
     "o2pf": (
         DEFAULT_K_MAX_GRID,
         lambda a, width: _O2pfSweep(a.minority_X, width),
-        lambda a, sweep, g, seed: _o2pf_rows(sweep.gaussians(g), a.n_new, seed),
+        lambda a, sweep, g, seed: sweep.rows(g, a.n_new, seed),
     ),
     # the minority rows' neighbor order among themselves (a copy, so the full
     # order is freed); kappa reads its first kappa columns
@@ -131,6 +128,13 @@ _STATS = {
 }
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a plain int; a bool or a value that is not an integer raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def derive_seed(*parts: int) -> int:
     """Deterministically mix integer parts into a 64-bit seed."""
     entropy = [int(p) for p in parts]
@@ -145,6 +149,10 @@ class ExperimentConfig:
     the OPF oversampler, kappa in {5..10} for the SMOTE family). In balance
     mode the training partition is augmented up to its majority count; in
     ratio mode round(ratio * minority count) samples are added.
+
+    ``trials``, ``base_seed``, every grid value and an index ``label_column``
+    must be integers and ``ratio`` a real number, none of them a bool; each is
+    stored as a plain ``int`` or ``float``, so a numpy scalar serializes.
     """
 
     data_path: str = ""
@@ -160,16 +168,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        for name in ("trials", "base_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if not isinstance(self.label_column, str):
+            object.__setattr__(self, "label_column", _integer(self.label_column, "label_column"))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base seed must be >= 0")
         if self.balance_mode not in (BALANCE_TO_MAJORITY, RATIO_MODE):
             raise ValueError(f"unknown balance mode {self.balance_mode!r}")
+        if isinstance(self.ratio, bool) or not isinstance(self.ratio, numbers.Real):
+            raise ValueError(f"ratio must be a real number, got {self.ratio!r}")
+        object.__setattr__(self, "ratio", float(self.ratio))
         if not (math.isfinite(self.ratio) and self.ratio >= 0):
             raise ValueError("ratio must be a finite nonnegative number")
         if self.grid is not None:
-            grid = tuple(int(g) for g in self.grid)
+            grid = tuple(_integer(g, "grid value") for g in self.grid)
             if not grid or any(g < 1 for g in grid):
                 raise ValueError("grid must be a nonempty tuple of positive integers")
             if self.method == "none":
@@ -226,26 +241,30 @@ def _least_cut(cuts) -> int:
 
 
 class _O2pfSweep:
-    """The clustering sweep of some minority rows, k in 1..k_max up to the first
-    zero cut, and the Gaussians of the forests it selects, each fitted once."""
+    """The O²PF draw from some minority rows: one clustering sweep, k in 1..k_max
+    up to the first zero cut, and the Gaussians of the forests it selects.
+
+    :meth:`rows` with ``g`` draws from the forest of least cut among the first
+    g, the forest a sweep with ``k_max = g`` selects, so one sweep serves every
+    g up to k_max. Cuts past the first zero read inf and their forests are
+    never built (a cut is never negative and the first minimum wins); each
+    selected forest's Gaussians are fitted once, with one eigendecomposition
+    each, however many values of g select it.
+    """
 
     def __init__(self, minority_X: np.ndarray, k_max: int):
         self.minority_X = minority_X
         self.cuts, self.forests = sweep_normalized_cuts(minority_X, k_max)
         self._gaussians: dict[int, list[ClusterGaussian]] = {}
 
-    def gaussians(self, g: int) -> list[ClusterGaussian]:
-        """Gaussians of the forest of least cut among the first ``g``, the forest a
-        sweep with ``k_max = g`` selects."""
+    def rows(self, g: int, n_new: int, seed: int) -> np.ndarray:
+        """``n_new`` rows from the Gaussians of the forest of least cut among the
+        first ``g``, split across its clusters by cluster size."""
         k = _least_cut(self.cuts[:g])
         if k not in self._gaussians:
             self._gaussians[k] = gaussians_from_forest(self.minority_X, self.forests[k])
-        return self._gaussians[k]
-
-
-def _o2pf_rows(clusters: list[ClusterGaussian], n_new: int, seed: int) -> np.ndarray:
-    """Draw ``n_new`` O²PF rows from a forest's Gaussians, split by cluster size."""
-    return synthesize_plan(clusters, allocate(clusters, n_new), seed)
+        clusters = self._gaussians[k]
+        return synthesize_plan(clusters, allocate(clusters, n_new), seed)
 
 
 def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Dataset:
@@ -257,8 +276,7 @@ def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Datas
     minority_X = ds.features[ds.labels == ds.minority_label]
     if minority_X.shape[0] < 2:
         raise ValueError("need at least two minority samples to cluster")
-    clusters = _O2pfSweep(minority_X, k_max).gaussians(k_max)
-    return append_minority_rows(ds, _o2pf_rows(clusters, n_new, seed))
+    return append_minority_rows(ds, _O2pfSweep(minority_X, k_max).rows(k_max, n_new, seed))
 
 
 class _TrialAugmenter:

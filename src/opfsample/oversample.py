@@ -5,8 +5,8 @@ multivariate Gaussian fitted to its members, and synthetic samples are drawn
 per cluster in proportion to cluster size. Synthesis happens in whatever
 feature space the input lives in (the harness passes standardized features)
 and the synthetic rows are appended after the original rows, which stay
-untouched. The harness picks the clustering (``harness._O2pfSweep``) and
-draws from its Gaussians (``harness._o2pf_rows``).
+untouched. The harness picks the clustering and draws from its Gaussians in
+one place, ``harness._O2pfSweep.rows``.
 """
 
 from __future__ import annotations
@@ -122,8 +122,6 @@ def synthesize(cg: ClusterGaussian, count: int, seed: int) -> np.ndarray:
     m = cg.mu.shape[0]
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return np.empty((0, m))
     rng = np.random.default_rng(seed)
     return cg.mu + rng.standard_normal((count, m)) @ cg.scale.T
 

@@ -48,6 +48,19 @@ def test_zero_request_still_checks_inputs():
     ok = NeighborConfig(kappa=1, seed=1)
     assert borderline_smote(X, y, 0, ok, minority_label=1).shape == (0, 1)
     assert adasyn(X, y, ok, 0, minority_label=1).shape == (0, 1)
+    # one non-finite cell, in a minority or a majority row, fails every entry point
+    for row, cell in ((0, np.nan), (3, np.inf), (1, -np.inf)):
+        Z = X.copy()
+        Z[row, 0] = cell
+        for call in (
+            lambda: smote(Z, 0, ok),
+            lambda: borderline_smote(Z, y, 0, ok, minority_label=1),
+            lambda: adasyn(Z, y, ok, 0, minority_label=1),
+            lambda: borderline_danger_mask(Z, y, ok, minority_label=1),
+            lambda: adasyn_allocation(Z, y, ok, 0, minority_label=1),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 def test_smote_needs_two_minority_samples():
@@ -75,12 +88,14 @@ def test_smote_deterministic_and_kappa_range():
 
 
 def test_neighbor_config_takes_only_integer_kappa():
-    for kappa in (2.5, 2.0, "2", None):
+    for kappa in (2.5, 2.0, "2", None, True):
         with pytest.raises(ValueError, match="kappa must be a positive integer"):
             NeighborConfig(kappa)
     X = np.random.default_rng(62).normal(size=(6, 2))
     for kappa in (2, np.int64(2), np.int32(2)):
-        assert smote(X, 4, NeighborConfig(kappa, seed=3)).shape == (4, 2)
+        cfg = NeighborConfig(kappa, seed=3)
+        assert type(cfg.kappa) is int
+        assert smote(X, 4, cfg).shape == (4, 2)
 
 
 # 8-point borderline fixture, kappa=2. Minority rows in order:
@@ -240,6 +255,7 @@ def test_adasyn_zero_weights_fall_back_to_smote(caplog):
         out = adasyn(X, y, cfg, 30, minority_label=1)
     assert "falling back" in caplog.text
     np.testing.assert_array_equal(out, smote(minority, 30, cfg))
+    np.testing.assert_array_equal(adasyn_allocation(X, y, cfg, 30, minority_label=1), [0] * 5)
 
 
 def test_all_methods_emit_exact_counts_and_are_deterministic():

@@ -255,6 +255,9 @@ def test_fit_and_predict_errors():
         OpfClassifier().fit(np.zeros((3, 2)), [0, 0, 0])  # single class
     with pytest.raises(ValueError):
         OpfClassifier().fit(np.array([[np.nan, 0.0], [0.0, 1.0]]), [0, 1])
+    for X, y in ((np.zeros((3, 2)), [0, 1]), (np.zeros(3), [0, 1, 0])):
+        with pytest.raises(ValueError, match="matching label vector"):
+            OpfClassifier().fit(X, y)
     model = OpfClassifier().fit(np.array([[0.0, 0.0], [1.0, 1.0]]), [0, 1])
     with pytest.raises(ValueError):
         model.predict(np.array([1.0, 2.0, 3.0]))  # dimension mismatch

@@ -30,6 +30,8 @@ def test_parse_grid_forms():
         parse_grid("5:1:2")
     with pytest.raises(UsageError):
         parse_grid("a,b")
+    with pytest.raises(UsageError, match="lo:hi:step"):
+        parse_grid("1:2:3:4")
 
 
 def test_parse_grid_rejects_values_past_the_row_cap():

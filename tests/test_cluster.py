@@ -148,6 +148,17 @@ def test_knn_errors():
         build_knn_graph(X, 3)
     with pytest.raises(ValueError):
         build_knn_graph(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
+    with pytest.raises(ValueError, match="finite"):
+        build_knn_graph(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1)
+    # the sweep checks the same way before it clusters any k
+    Y = np.random.default_rng(3).normal(size=(12, 2))
+    Y[5, 1] = -np.inf
+    with pytest.raises(ValueError, match="finite"):
+        sweep_normalized_cuts(Y, 4)
+    # a density map of another graph's size
+    g = build_knn_graph(Y[:5], 1)
+    with pytest.raises(ValueError, match="does not match"):
+        cluster_ift(g, DensityMap(np.ones(4), 1.0, 0.1))
 
 
 def test_density_symmetric_pair():

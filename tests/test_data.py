@@ -33,6 +33,10 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), ("a", "b"), 0)
     with pytest.raises(DataError):
         Dataset(np.zeros((3, 2)), np.array([0, 1]), ("a", "b"), 0)
+    with pytest.raises(DataError, match="minority_label"):
+        Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), ("a", "b"), 2)
+    with pytest.raises(DataError, match="feature_names"):
+        Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), ("a", "b", "c"), 0)
     ds = Dataset.from_arrays(np.zeros((3, 2)), [0, 1, 1])
     assert ds.minority_label == 0
     with pytest.raises(ValueError):
@@ -164,6 +168,16 @@ def test_load_csv_errors(tmp_path):
     no_col.write_text("a,b\n1,0\n2,1\n")
     with pytest.raises(DataError, match="not found"):
         load_csv(no_col, label_column="missing")
+    with pytest.raises(DataError, match="out of range"):
+        load_csv(no_col, label_column=2)
+    one_col = tmp_path / "onecol.csv"
+    one_col.write_text("0\n1\n0\n")
+    with pytest.raises(DataError, match="at least one feature column"):
+        load_csv(one_col)
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("a,b,label\n")
+    with pytest.raises(DataError, match="no data rows"):
+        load_csv(header_only)
 
 
 @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN", "1e999"])
@@ -377,3 +391,6 @@ def test_split_partitions_are_disjoint_cover(seed):
 def test_preprocess_stats_validation():
     with pytest.raises(ValueError):
         PreprocessStats(np.zeros(3), -np.ones(3))
+    for means, stds in ((np.zeros(3), np.ones(2)), (np.zeros((1, 3)), np.ones((1, 3)))):
+        with pytest.raises(ValueError, match="matching vectors"):
+            PreprocessStats(means, stds)

@@ -56,9 +56,32 @@ def test_config_validation():
     for ratio in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ExperimentConfig(balance_mode="ratio", ratio=ratio)
+    # integers must be integers and the ratio a number, none of them a bool
+    for bad in (
+        dict(trials=2.5), dict(trials=2.0), dict(trials=True), dict(trials=np.bool_(True)),
+        dict(trials="2"), dict(base_seed=1.5), dict(base_seed=False),
+        dict(grid=(2.5,)), dict(grid=("7",)), dict(grid=(3, True)),
+        dict(label_column=1.0), dict(label_column=True),
+        dict(balance_mode="ratio", ratio=True), dict(balance_mode="ratio", ratio="0.5"),
+    ):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
     assert ExperimentConfig(method="smote").effective_grid == tuple(range(5, 11))
     assert ExperimentConfig(method="o2pf").effective_grid == tuple(range(5, 101, 5))
     assert ExperimentConfig(method="none").effective_grid == ()
+
+
+def test_numpy_scalars_in_a_config_are_stored_as_plain_numbers(small_ds):
+    cfg = _cfg(method="smote", grid=(np.int64(3), np.int32(4)), trials=np.int64(2),
+               base_seed=np.int64(3), label_column=np.int64(-1), balance_mode="ratio",
+               ratio=np.float32(0.5))
+    for value, kind in ((cfg.trials, int), (cfg.base_seed, int), (cfg.label_column, int),
+                        (cfg.ratio, float), *((g, int) for g in cfg.grid)):
+        assert type(value) is kind
+    plain = _cfg(method="smote", grid=(3, 4), trials=2, base_seed=3, balance_mode="ratio",
+                 ratio=0.5)
+    assert report_to_json(run_experiment(cfg, dataset=small_ds)) == report_to_json(
+        run_experiment(plain, dataset=small_ds))
 
 
 def test_singleton_grid_chooses_it(small_ds):

@@ -4,7 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from opfsample import oversample_to_count
-from opfsample.cluster import build_knn_graph, cluster_ift, compute_density, sweep_normalized_cuts
+from opfsample.cluster import (
+    ClusterForest,
+    build_knn_graph,
+    cluster_ift,
+    compute_density,
+    sweep_normalized_cuts,
+)
 from opfsample.data import Dataset
 from opfsample.oversample import (
     ClusterGaussian,
@@ -42,6 +48,12 @@ def test_singleton_cluster_zero_covariance():
     if singletons:
         np.testing.assert_array_equal(singletons[0].sigma_mat, 0.0)
         np.testing.assert_array_equal(singletons[0].mu, X[singletons[0].member_indices[0]])
+    # a hand-built forest whose second cluster is the singleton row 2
+    forest = ClusterForest(np.zeros(3), [-1, 0, -1], [0, 0, 1], [0, 2])
+    pair, single = gaussians_from_forest(X, forest)
+    assert (pair.count, single.count) == (2, 1)
+    np.testing.assert_array_equal(single.sigma_mat, np.zeros((2, 2)))
+    np.testing.assert_array_equal(single.mu, X[2])
 
 
 def test_cluster_gaussian_holds_read_only_copies_of_its_arguments():
@@ -64,6 +76,10 @@ def test_cluster_gaussian_counts_its_members():
         ClusterGaussian(np.zeros(2), np.eye(2), members, count=2)
     with pytest.raises(ValueError, match="at least one member"):
         ClusterGaussian(np.zeros(2), np.eye(2), np.arange(0))
+    with pytest.raises(ValueError, match="shape"):
+        ClusterGaussian(np.zeros(2), np.eye(3), members)
+    with pytest.raises(ValueError, match="symmetric"):
+        ClusterGaussian(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), members)
 
 
 def test_covariance_matches_two_pass_oracle():
@@ -101,6 +117,10 @@ def test_allocate_examples():
     assert allocate(_gaussians([3, 1]), 2).per_cluster_counts == (2, 0)
     assert allocate(_gaussians([7]), 7).per_cluster_counts == (7,)
     assert allocate(_gaussians([3, 2]), 0).per_cluster_counts == (0, 0)
+    with pytest.raises(ValueError, match="no clusters"):
+        allocate([], 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        allocate(_gaussians([3, 2]), -1)
 
 
 @given(
@@ -122,11 +142,15 @@ def test_largest_remainder_rejects_inconsistent_totals():
         largest_remainder(np.array([3.0, 3.0]), 2)
     with pytest.raises(ValueError, match="undersum"):
         largest_remainder(np.array([0.2, 0.2]), 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        largest_remainder(np.array([0.0, 0.0]), -1)
 
 
 def test_synthesize_plan_rejects_an_empty_cluster_list():
     with pytest.raises(ValueError, match="no clusters"):
         synthesize_plan([], OversamplePlan(()), seed=0)
+    with pytest.raises(ValueError, match="does not match"):
+        synthesize_plan(_gaussians([3, 2]), OversamplePlan((1,)), seed=0)
 
 
 def test_synthesize_zero_covariance_copies():
@@ -134,6 +158,10 @@ def test_synthesize_zero_covariance_copies():
     out = synthesize(cg, 5, seed=7)
     assert out.shape == (5, 2)
     np.testing.assert_array_equal(out, np.tile(cg.mu, (5, 1)))
+    empty = synthesize(cg, 0, seed=7)
+    assert (empty.shape, empty.dtype) == ((0, 2), np.float64)
+    with pytest.raises(ValueError, match="nonnegative"):
+        synthesize(cg, -1, seed=7)
 
 
 def test_synthesize_identity_covariance_statistics():
@@ -191,6 +219,7 @@ def test_original_rows_preserved_and_labels_minority():
     np.testing.assert_array_equal(out.labels[:n], ds.labels)
     np.testing.assert_array_equal(out.labels[n:], ds.minority_label)
     assert out.minority_label == ds.minority_label
+    assert append_minority_rows(ds, np.empty((0, 3))) is ds
 
 
 def test_oversample_deterministic():
@@ -207,6 +236,10 @@ def test_oversample_requires_minority():
     ds = Dataset(rng.normal(size=(6, 2)), np.zeros(6, dtype=int), ("a", "b"), 1)
     with pytest.raises(ValueError, match="minority"):
         oversample_to_count(ds, 3, k_max=2, seed=0)
+    # a zero request returns the set itself before any check; a negative one raises
+    assert oversample_to_count(ds, 0, k_max=2, seed=0) is ds
+    with pytest.raises(ValueError, match="nonnegative"):
+        oversample_to_count(ds, -1, k_max=2, seed=0)
 
 
 def test_oversample_to_count_keeps_two_blobs_apart():
