@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import _neighbor_order, distance_block, pairwise_distances
-from .data import _own, minority_label_of
+from .data import _integer, _own, minority_label_of
 from .oversample import largest_remainder
 
 logger = logging.getLogger(__name__)
@@ -46,15 +46,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class NeighborConfig:
-    """Nearest-neighbor count and seed shared by the SMOTE-family methods."""
+    """Nearest-neighbor count (``kappa`` >= 1) and seed (>= 0) shared by the SMOTE-family methods."""
 
     kappa: int
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.kappa, bool) or not isinstance(self.kappa, (int, np.integer)) or self.kappa < 1:
-            raise ValueError("kappa must be a positive integer")
-        object.__setattr__(self, "kappa", int(self.kappa))
+        object.__setattr__(self, "kappa", _integer(self.kappa, "kappa", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,7 @@ def _check(X: np.ndarray, n_min: int, kappa: int, n_new: int) -> None:
         raise ValueError("need at least two minority samples")
     if kappa > n_min - 1:
         raise ValueError(f"kappa={kappa} out of range for {n_min} minority samples")
-    if n_new < 0:
-        raise ValueError("n_new must be nonnegative")
+    _integer(n_new, "n_new", 0)
 
 
 def _interpolate(X: np.ndarray, table: np.ndarray, base: np.ndarray, rng) -> np.ndarray:

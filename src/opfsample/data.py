@@ -8,12 +8,17 @@ explicit seed.
 
 :func:`_own` is the one way a result type, here or in any other module, takes
 ownership of its arrays: a :func:`_frozen` read-only copy that no caller shares.
+:func:`_integer` is the one integer rule: wherever a module checks a caller's
+integer (a count, a seed, a column index, a grid value), it checks it with
+:func:`_integer` and keeps the plain ``int`` that comes back.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +46,21 @@ def _own(obj, **dtypes) -> None:
         else:
             value = _frozen(value, dtype)
         object.__setattr__(obj, name, value)
+
+
+_BOUNDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as a plain int, at least ``minimum`` (0 or 1) when given.
+
+    A bool, a value that is not an integer, or one below ``minimum`` raises
+    ``ValueError``.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or minimum is not None and value < minimum):
+        raise ValueError(f"{name} must be {_BOUNDS[minimum]}, got {value!r}")
+    return int(value)
 
 
 def minority_label_of(labels) -> int:
@@ -184,7 +204,13 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
     the file. Row order is preserved. Raw label values are mapped onto
     {0, 1}: numerically when both parse as numbers, lexicographically
     otherwise, smallest first.
+
+    ``path`` is a ``str``, ``bytes`` or :class:`os.PathLike` file path; any
+    other value, an ``int`` file descriptor among them, raises
+    :class:`DataError` before anything is opened.
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise DataError(f"the data path must be a file path, got {path!r}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             reader = csv.reader(fh)

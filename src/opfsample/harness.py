@@ -46,7 +46,7 @@ from .baselines import (
 )
 from .classifier import OpfClassifier
 from .cluster import distance_block, pairwise_distances, sweep_normalized_cuts
-from .data import SPLIT_RATIOS, Dataset, impute_mean, load_csv, split, standardize
+from .data import SPLIT_RATIOS, Dataset, _integer, impute_mean, load_csv, split, standardize
 from .errors import ExperimentError
 from .metrics import score, wilcoxon_signed_rank
 from .oversample import (
@@ -128,13 +128,6 @@ _STATS = {
 }
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a plain int; a bool or a value that is not an integer raises ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def derive_seed(*parts: int) -> int:
     """Deterministically mix integer parts into a 64-bit seed."""
     entropy = [int(p) for p in parts]
@@ -150,9 +143,11 @@ class ExperimentConfig:
     mode the training partition is augmented up to its majority count; in
     ratio mode round(ratio * minority count) samples are added.
 
-    ``trials``, ``base_seed``, every grid value and an index ``label_column``
-    must be integers and ``ratio`` a real number, none of them a bool; each is
-    stored as a plain ``int`` or ``float``, so a numpy scalar serializes.
+    ``trials`` (at least 1), ``base_seed`` (at least 0), every grid value (at
+    least 1) and an index ``label_column`` pass the one integer rule,
+    :func:`opfsample.data._integer`, and ``ratio`` must be a real number that
+    is not a bool; each is stored as a plain ``int`` or ``float``, so a numpy
+    scalar serializes.
     """
 
     data_path: str = ""
@@ -168,24 +163,25 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        for name in ("trials", "base_seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name, minimum in (("trials", 1), ("base_seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
         if not isinstance(self.label_column, str):
             object.__setattr__(self, "label_column", _integer(self.label_column, "label_column"))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base seed must be >= 0")
         if self.balance_mode not in (BALANCE_TO_MAJORITY, RATIO_MODE):
             raise ValueError(f"unknown balance mode {self.balance_mode!r}")
         if isinstance(self.ratio, bool) or not isinstance(self.ratio, numbers.Real):
             raise ValueError(f"ratio must be a real number, got {self.ratio!r}")
-        object.__setattr__(self, "ratio", float(self.ratio))
+        try:
+            object.__setattr__(self, "ratio", float(self.ratio))
+        except OverflowError:  # an integer past the float range
+            raise ValueError("ratio must be a finite nonnegative number") from None
         if not (math.isfinite(self.ratio) and self.ratio >= 0):
             raise ValueError("ratio must be a finite nonnegative number")
         if self.grid is not None:
-            grid = tuple(_integer(g, "grid value") for g in self.grid)
-            if not grid or any(g < 1 for g in grid):
+            if isinstance(self.grid, (str, bytes)) or not hasattr(self.grid, "__iter__"):
+                raise ValueError(f"grid must be a sequence of positive integers, got {self.grid!r}")
+            grid = tuple(_integer(g, "grid value", 1) for g in self.grid)
+            if not grid:
                 raise ValueError("grid must be a nonempty tuple of positive integers")
             if self.method == "none":
                 raise ValueError("method 'none' takes no hyperparameter grid")
@@ -269,9 +265,7 @@ class _O2pfSweep:
 
 def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Dataset:
     """Append exactly ``n_new`` O²PF minority samples to ``ds``, searching k in 1..k_max."""
-    if n_new < 0:
-        raise ValueError("n_new must be nonnegative")
-    if n_new == 0:
+    if _integer(n_new, "n_new", 0) == 0:
         return ds
     minority_X = ds.features[ds.labels == ds.minority_label]
     if minority_X.shape[0] < 2:

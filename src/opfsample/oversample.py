@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterForest
-from .data import Dataset, _frozen, _own
+from .data import Dataset, _frozen, _integer, _own
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
     ties prefer the larger share, then the lower index.
     """
     shares = np.asarray(shares, dtype=np.float64)
-    if total < 0:
-        raise ValueError("total must be nonnegative")
+    total = _integer(total, "total", 0)
     base = np.floor(shares).astype(np.int64)
     leftover = int(total - base.sum())
     if leftover < 0:
@@ -106,8 +105,7 @@ def allocate(clusters: list[ClusterGaussian], n_new: int) -> OversamplePlan:
     """Split ``n_new`` across clusters proportionally to their member counts."""
     if not clusters:
         raise ValueError("no clusters to allocate over")
-    if n_new < 0:
-        raise ValueError("n_new must be nonnegative")
+    n_new = _integer(n_new, "n_new", 0)
     counts = np.array([cg.count for cg in clusters], dtype=np.float64)
     shares = n_new * counts / counts.sum()
     return OversamplePlan(tuple(int(v) for v in largest_remainder(shares, n_new)))
@@ -119,11 +117,8 @@ def synthesize(cg: ClusterGaussian, count: int, seed: int) -> np.ndarray:
     Each draw is ``mu`` plus a standard normal vector mapped through the
     cluster's ``scale``.
     """
-    m = cg.mu.shape[0]
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    return cg.mu + rng.standard_normal((count, m)) @ cg.scale.T
+    return cg.mu + rng.standard_normal((_integer(count, "count", 0), cg.mu.shape[0])) @ cg.scale.T
 
 
 def synthesize_plan(clusters: list[ClusterGaussian], plan: OversamplePlan, seed: int) -> np.ndarray:

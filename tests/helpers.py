@@ -407,6 +407,60 @@ def write_dataset_csv(path, X, y, header=None, missing_cells=(), missing_token="
     return path
 
 
+# Values the one integer rule, ``data._integer``, rejects wherever an integer
+# is asked for; a bounded integer also rejects its minimum minus one.
+NOT_INTEGERS = (True, np.bool_(True), 1.5, "1")
+
+
+class Clock:
+    """A counter that orders events: each :meth:`tick` returns the next integer."""
+
+    def __init__(self):
+        self.t = 0
+
+    def tick(self):
+        self.t += 1
+        return self.t
+
+
+class TracingDataset:
+    """Duck-typed stand-in for a partition that timestamps every data access.
+
+    A partition derived with :meth:`with_features` is traced on the same clock.
+    """
+
+    def __init__(self, ds, clock):
+        self._ds = ds
+        self._clock = clock
+        self.events = []
+
+    def _touch(self):
+        self.events.append(self._clock.tick())
+
+    @property
+    def features(self):
+        self._touch()
+        return self._ds.features
+
+    @property
+    def labels(self):
+        self._touch()
+        return self._ds.labels
+
+    @property
+    def minority_label(self):
+        self._touch()
+        return self._ds.minority_label
+
+    def with_features(self, features):
+        self._touch()
+        return TracingDataset(self._ds.with_features(features), self._clock)
+
+    @property
+    def feature_names(self):
+        return self._ds.feature_names
+
+
 # --- the whole trial ---------------------------------------------------------
 
 

@@ -23,6 +23,8 @@ from opfsample.metrics import wilcoxon_signed_rank
 from opfsample.oversample import ClusterGaussian, largest_remainder, synthesize
 
 from helpers import (
+    Clock,
+    TracingDataset,
     blob_dataset,
     cluster_cost_closure,
     on_segment_between,
@@ -217,32 +219,12 @@ def test_criterion_6_pipeline_hygiene(monkeypatch):
             assert abs(t.augmented_counts[0] - t.augmented_counts[1]) <= 1
 
     # no operation reads test rows before hyperparameter selection completes
-    clock = {"t": 0}
-
-    def tick():
-        clock["t"] += 1
-        return clock["t"]
-
-    class TracingDataset:
-        def __init__(self, inner):
-            self._inner = inner
-            self.events = []
-
-        def __getattr__(self, name):
-            value = getattr(self._inner, name)
-            if name in ("features", "labels", "minority_label"):
-                self.events.append(tick())
-            return value
-
-        def with_features(self, features):
-            self.events.append(tick())
-            return self._inner.with_features(features)
-
+    clock = Clock()
     traced = []
 
     def split_tracer(d, seed):
         train, val, test = real_split(d, seed)
-        wrapper = TracingDataset(test)
+        wrapper = TracingDataset(test, clock)
         traced.append(wrapper)
         return train, val, wrapper
 
@@ -251,7 +233,7 @@ def test_criterion_6_pipeline_hygiene(monkeypatch):
 
     def select_spy(*args, **kwargs):
         out = real_select(*args, **kwargs)
-        selection_done.append(tick())
+        selection_done.append(clock.tick())
         return out
 
     monkeypatch.setattr(harness, "split", split_tracer)

@@ -16,7 +16,7 @@ from opfsample.baselines import (
 from opfsample.cluster import _neighbor_order
 from opfsample.oversample import largest_remainder
 
-from helpers import blob_dataset, brute_force_knn, on_segment_between, pairwise_rows
+from helpers import NOT_INTEGERS, blob_dataset, brute_force_knn, on_segment_between, pairwise_rows
 
 
 def test_smote_two_points_stay_on_segment():
@@ -48,6 +48,19 @@ def test_zero_request_still_checks_inputs():
     ok = NeighborConfig(kappa=1, seed=1)
     assert borderline_smote(X, y, 0, ok, minority_label=1).shape == (0, 1)
     assert adasyn(X, y, ok, 0, minority_label=1).shape == (0, 1)
+    # n_new is a nonnegative integer, never a bool; numpy integers count as ints
+    samplers = (
+        lambda n: smote(X[:2], n, ok),
+        lambda n: borderline_smote(X, y, n, ok, minority_label=1),
+        lambda n: adasyn(X, y, ok, n, minority_label=1),
+        lambda n: adasyn_allocation(X, y, ok, n, minority_label=1),
+    )
+    for call in samplers:
+        for n_new in (2.0, -1, *NOT_INTEGERS):
+            with pytest.raises(ValueError, match="^n_new must be"):
+                call(n_new)
+        for kind in (np.int64, np.int32):
+            np.testing.assert_array_equal(call(kind(3)), call(3))
     # one non-finite cell, in a minority or a majority row, fails every entry point
     for row, cell in ((0, np.nan), (3, np.inf), (1, -np.inf)):
         Z = X.copy()
@@ -88,13 +101,17 @@ def test_smote_deterministic_and_kappa_range():
 
 
 def test_neighbor_config_takes_only_integer_kappa():
-    for kappa in (2.5, 2.0, "2", None, True):
+    for kappa in (2.5, 2.0, "2", None, *NOT_INTEGERS, 0):
         with pytest.raises(ValueError, match="kappa must be a positive integer"):
             NeighborConfig(kappa)
+    # the seed follows the same rule, at least 0
+    for seed in ("3", -1, *NOT_INTEGERS):
+        with pytest.raises(ValueError, match="^seed must be"):
+            NeighborConfig(2, seed=seed)
     X = np.random.default_rng(62).normal(size=(6, 2))
-    for kappa in (2, np.int64(2), np.int32(2)):
-        cfg = NeighborConfig(kappa, seed=3)
-        assert type(cfg.kappa) is int
+    for kind in (int, np.int64, np.int32):
+        cfg = NeighborConfig(kind(2), seed=kind(3))
+        assert type(cfg.kappa) is int and type(cfg.seed) is int
         assert smote(X, 4, cfg).shape == (4, 2)
 
 

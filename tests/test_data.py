@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from opfsample.data import (
     standardize,
 )
 from opfsample.errors import DataError, ExperimentError
+from opfsample.harness import ExperimentConfig
 
 from helpers import write_dataset_csv
 
@@ -86,6 +88,26 @@ def test_load_csv_no_missing_three_rows(tmp_path):
     assert ds.n_missing == 0
     assert ds.n_samples == 3
     np.testing.assert_array_equal(ds.labels, [0, 1, 0])
+
+
+def test_load_csv_takes_only_a_file_path(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("1.0,2.0,0\n3.5,4.5,1\n5.0,6.0,0\n7.0,8.0,1\n")
+    # an int would be read as a file descriptor and closed; it is refused before any open
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with pytest.raises(DataError, match=f"got {fd}"):
+            load_csv(fd)
+        with pytest.raises(DataError):
+            ExperimentConfig(data_path=fd).load_dataset()
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    for bad in (None, 3.0, True):
+        with pytest.raises(DataError, match="must be a file path"):
+            load_csv(bad)
+    for good in (str(path), os.fsencode(path), path):
+        assert load_csv(good).n_samples == 4
 
 
 def test_load_csv_missing_token_count_matches_text_scan(tmp_path):

@@ -25,7 +25,15 @@ from opfsample.harness import (
     validation_trace_csv,
 )
 
-from helpers import blob_dataset, pairwise_rows, reference_trial, write_dataset_csv
+from helpers import (
+    NOT_INTEGERS,
+    Clock,
+    TracingDataset,
+    blob_dataset,
+    pairwise_rows,
+    reference_trial,
+    write_dataset_csv,
+)
 
 
 @pytest.fixture
@@ -66,6 +74,24 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+    # a grid that is a string or not iterable fails as a whole; so does a ratio past the float range
+    for grid in (5, "57"):
+        with pytest.raises(ValueError, match="grid must be"):
+            ExperimentConfig(grid=grid)
+    with pytest.raises(ValueError, match="ratio must be a finite nonnegative number"):
+        ExperimentConfig(balance_mode="ratio", ratio=10**400)
+    # the one integer rule, data._integer, names the field; "1" would name a header column
+    def config(field, value):
+        return ExperimentConfig(**{field: (value,) if field == "grid" else value})
+
+    for field, name, minimum in (("trials", "trials", 1), ("base_seed", "base_seed", 0),
+                                 ("label_column", "label_column", None), ("grid", "grid value", 1)):
+        for value in NOT_INTEGERS[:-1] if minimum is None else (*NOT_INTEGERS, minimum - 1):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                config(field, value)
+        for kind in (np.int64, np.int32):
+            stored = getattr(config(field, kind(3)), field)
+            assert type(stored[0] if field == "grid" else stored) is int
     assert ExperimentConfig(method="smote").effective_grid == tuple(range(5, 11))
     assert ExperimentConfig(method="o2pf").effective_grid == tuple(range(5, 101, 5))
     assert ExperimentConfig(method="none").effective_grid == ()
@@ -544,58 +570,14 @@ def test_splits_are_seed_paired_across_methods(small_ds, monkeypatch):
     assert per_method[0] == per_method[1]
 
 
-class _Clock:
-    def __init__(self):
-        self.t = 0
-
-    def tick(self):
-        self.t += 1
-        return self.t
-
-
-class _TracingDataset:
-    """Duck-typed stand-in that timestamps every data access."""
-
-    def __init__(self, ds, clock):
-        self._ds = ds
-        self._clock = clock
-        self.events = []
-
-    def _touch(self):
-        self.events.append(self._clock.tick())
-
-    @property
-    def features(self):
-        self._touch()
-        return self._ds.features
-
-    @property
-    def labels(self):
-        self._touch()
-        return self._ds.labels
-
-    @property
-    def minority_label(self):
-        self._touch()
-        return self._ds.minority_label
-
-    def with_features(self, features):
-        self._touch()
-        return _TracingDataset(self._ds.with_features(features), self._clock)
-
-    @property
-    def feature_names(self):
-        return self._ds.feature_names
-
-
 def test_no_test_access_before_selection_completes(small_ds, monkeypatch):
-    clock = _Clock()
+    clock = Clock()
     traced = []
     real_split = harness.split
 
     def split_spy(ds, seed):
         train, val, test = real_split(ds, seed)
-        wrapper = _TracingDataset(test, clock)
+        wrapper = TracingDataset(test, clock)
         traced.append(wrapper)
         return train, val, wrapper
 

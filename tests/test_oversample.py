@@ -23,7 +23,7 @@ from opfsample.oversample import (
     synthesize_plan,
 )
 
-from helpers import reference_sweep, two_pass_covariance
+from helpers import NOT_INTEGERS, reference_sweep, two_pass_covariance
 
 
 def test_two_point_cluster_closed_form():
@@ -121,6 +121,11 @@ def test_allocate_examples():
         allocate([], 3)
     with pytest.raises(ValueError, match="nonnegative"):
         allocate(_gaussians([3, 2]), -1)
+    for n_new in (2.0, *NOT_INTEGERS):
+        with pytest.raises(ValueError, match="^n_new must be"):
+            allocate(_gaussians([3, 2]), n_new)
+    for kind in (np.int64, np.int32):
+        assert allocate(_gaussians([3, 2]), kind(5)).per_cluster_counts == (3, 2)
 
 
 @given(
@@ -144,6 +149,11 @@ def test_largest_remainder_rejects_inconsistent_totals():
         largest_remainder(np.array([0.2, 0.2]), 5)
     with pytest.raises(ValueError, match="nonnegative"):
         largest_remainder(np.array([0.0, 0.0]), -1)
+    for total in (2.0, *NOT_INTEGERS):
+        with pytest.raises(ValueError, match="^total must be"):
+            largest_remainder(np.array([0.5, 0.5]), total)
+    for kind in (np.int64, np.int32):
+        np.testing.assert_array_equal(largest_remainder(np.array([1.5, 0.5]), kind(2)), [2, 0])
 
 
 def test_synthesize_plan_rejects_an_empty_cluster_list():
@@ -162,6 +172,11 @@ def test_synthesize_zero_covariance_copies():
     assert (empty.shape, empty.dtype) == ((0, 2), np.float64)
     with pytest.raises(ValueError, match="nonnegative"):
         synthesize(cg, -1, seed=7)
+    for count in (2.0, *NOT_INTEGERS):
+        with pytest.raises(ValueError, match="^count must be"):
+            synthesize(cg, count, seed=7)
+    for kind in (np.int64, np.int32):
+        np.testing.assert_array_equal(synthesize(cg, kind(5), seed=7), out)
 
 
 def test_synthesize_identity_covariance_statistics():
@@ -240,6 +255,10 @@ def test_oversample_requires_minority():
     assert oversample_to_count(ds, 0, k_max=2, seed=0) is ds
     with pytest.raises(ValueError, match="nonnegative"):
         oversample_to_count(ds, -1, k_max=2, seed=0)
+    for n_new in (2.0, *NOT_INTEGERS):
+        with pytest.raises(ValueError, match="^n_new must be"):
+            oversample_to_count(ds, n_new, k_max=2, seed=0)
+    assert oversample_to_count(ds, np.int64(0), k_max=2, seed=0) is ds
 
 
 def test_oversample_to_count_keeps_two_blobs_apart():
