@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _own
+from .data import _integer, _own
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -158,16 +158,21 @@ def _neighbor_order(dist: np.ndarray, rows: np.ndarray | None = None) -> np.ndar
     return order[order != rows[:, None]].reshape(rows.size, n - 1)
 
 
-def _checked_neighbor_order(X, k: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and neighbor order of ``X``, checked first: ``1 <= k < n``, every cell finite."""
+def _checked_neighbor_order(X, k: int, name: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Distances and neighbor order of ``X``, and ``k`` as a plain int.
+
+    Checked first: ``k`` is an integer (:func:`opfsample.data._integer`) with
+    ``1 <= k < n``, and every cell is finite.
+    """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
+    k = _integer(k, name)
     if not 1 <= k < n:
         raise ValueError(f"{name} must satisfy 1 <= {name} < n, got {name}={k}, n={n}")
     if not np.isfinite(X).all():
         raise ValueError("clustering input must be finite")
     dist = pairwise_distances(X)
-    return dist, _neighbor_order(dist)
+    return dist, _neighbor_order(dist), k
 
 
 def _graph_from_prefix(dist: np.ndarray, order: np.ndarray, k: int) -> KnnGraph:
@@ -176,12 +181,12 @@ def _graph_from_prefix(dist: np.ndarray, order: np.ndarray, k: int) -> KnnGraph:
     adj[np.arange(n)[:, None], order[:, :k]] = True
     adj |= adj.T
     neighbors = tuple(np.flatnonzero(row) for row in adj)
-    return KnnGraph(int(k), neighbors, tuple(dist[i, nb] for i, nb in enumerate(neighbors)))
+    return KnnGraph(k, neighbors, tuple(dist[i, nb] for i, nb in enumerate(neighbors)))
 
 
 def build_knn_graph(X: np.ndarray, k: int) -> KnnGraph:
     """Connect each sample to its k nearest neighbors, then symmetrize."""
-    dist, order = _checked_neighbor_order(X, k, "k")
+    dist, order, k = _checked_neighbor_order(X, k, "k")
     return _graph_from_prefix(dist, order, k)
 
 
@@ -305,7 +310,7 @@ def sweep_normalized_cuts(X: np.ndarray, k_max: int) -> tuple[np.ndarray, list[C
     once and shared, so the graph for every k is identical to what
     :func:`build_knn_graph` would produce.
     """
-    dist, order = _checked_neighbor_order(X, k_max, "k_max")
+    dist, order, k_max = _checked_neighbor_order(X, k_max, "k_max")
     cuts = np.full(k_max, np.inf)
     forests: list[ClusterForest] = []
     for k in range(1, k_max + 1):

@@ -342,6 +342,7 @@ def split(ds: Dataset, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     retries) until every partition holds at least one sample of each class;
     the draw sequence is fully determined by ``seed``.
     """
+    seed = _integer(seed, "seed", 0)
     n = ds.n_samples
     sizes = [math.floor(n * r) for r in SPLIT_RATIOS]
     sizes[0] += n - sum(sizes)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -328,6 +329,24 @@ def wilcoxon_oracle(a, b) -> tuple[float, float]:
         if min(s_plus, total - s_plus) <= w:
             hits += 1
     return w, hits / 2.0**n
+
+
+def wilcoxon_exact_p(a, b) -> Fraction:
+    """Two-sided exact p as a Fraction, from an integer DP over doubled ranks.
+
+    ``counts[s]`` is the number of the 2^n sign assignments whose positive
+    ranks sum to s/2; every s with min(s, T - s) <= 2W counts as a hit.
+    """
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    d = d[d != 0]
+    doubled = [int(round(2 * r)) for r in average_ranks(np.abs(d))]
+    w2 = min(sum(r for r, x in zip(doubled, d) if x > 0), sum(r for r, x in zip(doubled, d) if x < 0))
+    total = sum(doubled)
+    counts = [1] + [0] * total
+    for r in doubled:
+        counts = counts[:r] + [c + shifted for c, shifted in zip(counts[r:], counts)]
+    hits = sum(c for s, c in enumerate(counts) if min(s, total - s) <= w2)
+    return Fraction(hits, 2**d.size)
 
 
 def two_pass_covariance(rows: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opfsample import cluster
+from opfsample import cluster, oversample_to_count
 from opfsample.cluster import (
     ClusterForest,
     DensityMap,
@@ -18,8 +18,10 @@ from opfsample.cluster import (
     pairwise_distances,
     sweep_normalized_cuts,
 )
+from opfsample.data import Dataset
 
 from helpers import (
+    NOT_INTEGERS,
     brute_force_knn,
     cluster_cost_closure,
     cluster_cost_dfs,
@@ -328,6 +330,18 @@ def test_sweep_range_errors():
     for k_max in (0, 4):
         with pytest.raises(ValueError, match="k_max must satisfy"):
             sweep_normalized_cuts(X, k_max)
+    # a bool or a non-integer fails the one integer rule before any distance
+    ds = Dataset.from_arrays(np.arange(12.0).reshape(6, 2), [0, 0, 0, 1, 1, 1])
+    for k_max in (*NOT_INTEGERS, 2.5, 2.0):
+        with pytest.raises(ValueError, match="^k_max must be an integer"):
+            sweep_normalized_cuts(X, k_max)
+        with pytest.raises(ValueError, match="^k_max must be an integer"):
+            oversample_to_count(ds, 3, k_max=k_max, seed=0)
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            build_knn_graph(X, k_max)
+    g, ref = build_knn_graph(X, np.int64(2)), build_knn_graph(X, 2)
+    assert type(g.k) is int
+    assert [nb.tolist() for nb in g.neighbors] == [nb.tolist() for nb in ref.neighbors]
 
 
 def test_sweep_matches_independent_build():

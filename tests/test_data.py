@@ -19,7 +19,7 @@ from opfsample.data import (
 from opfsample.errors import DataError, ExperimentError
 from opfsample.harness import ExperimentConfig
 
-from helpers import write_dataset_csv
+from helpers import NOT_INTEGERS, write_dataset_csv
 
 
 def test_minority_label_counts_and_tie():
@@ -366,6 +366,17 @@ def test_split_deterministic_and_seed_sensitive():
         pa.features.shape != pc.features.shape or not np.array_equal(pa.features, pc.features)
         for pa, pc in zip(a, c)
     )
+
+
+def test_split_takes_only_a_nonnegative_integer_seed():
+    rng = np.random.default_rng(6)
+    ds = Dataset.from_arrays(rng.normal(size=(40, 2)), np.r_[np.zeros(25), np.ones(15)])
+    for seed in (*NOT_INTEGERS, -1):
+        with pytest.raises(ValueError, match="^seed must be"):
+            split(ds, seed)
+    for pa, pb in zip(split(ds, np.int64(3)), split(ds, 3)):
+        np.testing.assert_array_equal(pa.features, pb.features)
+        np.testing.assert_array_equal(pa.labels, pb.labels)
 
 
 def test_split_round_trip_permutation_and_class_presence():

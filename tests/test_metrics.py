@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -13,12 +14,18 @@ import opfsample
 from opfsample.metrics import (
     confusion,
     score,
-    signed_rank_null_counts,
+    signed_rank_tail,
     tied_ranks,
     wilcoxon_signed_rank,
 )
 
-from helpers import average_ranks, blob_dataset, wilcoxon_oracle, write_dataset_csv
+from helpers import (
+    average_ranks,
+    blob_dataset,
+    wilcoxon_exact_p,
+    wilcoxon_oracle,
+    write_dataset_csv,
+)
 
 
 def test_perfect_prediction():
@@ -135,33 +142,58 @@ def test_null_distribution_sums_to_one():
     for n in range(2, 11):
         d = rng.integers(1, 4, size=n).astype(float)
         ranks = average_ranks(d)
-        counts, _ = signed_rank_null_counts(ranks)
-        assert counts.sum() == 2**n
+        # every sign assignment puts at most T in the positive sum
+        assert signed_rank_tail(ranks, ranks.sum()) == 1.0
 
 
-def test_wilcoxon_exact_limit_boundary():
+def test_wilcoxon_exact_at_25_and_26_pairs():
     rng = np.random.default_rng(16)
-    a25 = rng.normal(0.3, 1.0, size=25)
-    res = wilcoxon_signed_rank(a25, np.zeros(25))
-    # n = 25 still uses the exact route: the p-value is a dyadic rational
-    assert res.conclusive
-    assert (res.p_value * 2**25) == round(res.p_value * 2**25)
-    a26 = rng.normal(0.3, 1.0, size=26)
-    res26 = wilcoxon_signed_rank(a26, np.zeros(26))
-    assert 0.0 <= res26.p_value <= 1.0  # normal-approximation branch
+    for n in (25, 26):
+        a = rng.normal(0.3, 1.0, size=n)
+        res = wilcoxon_signed_rank(a, np.zeros(n))
+        # the p-value is a dyadic rational, the exact one
+        assert res.conclusive
+        assert (res.p_value * 2**n) == round(res.p_value * 2**n)
+        assert res.p_value == float(wilcoxon_exact_p(a, np.zeros(n)))
 
 
-def test_wilcoxon_normal_approximation_branch():
+def test_wilcoxon_exact_at_30_pairs():
     rng = np.random.default_rng(15)
     a = rng.normal(0.8, 1.0, size=30)
     b = np.zeros(30)
     res = wilcoxon_signed_rank(a, b)
     assert res.conclusive
-    assert 0.0 <= res.p_value <= 1.0
-    from scipy.stats import wilcoxon as scipy_wilcoxon
+    assert (res.p_value * 2**30) == round(res.p_value * 2**30)
+    assert res.p_value == float(wilcoxon_exact_p(a, b))
+    # 30 pairs of one sign: W = 0 and p = 2 / 2^30
+    assert wilcoxon_signed_rank(np.abs(a) + 1.0, b).p_value == 2.0**-29
 
-    ref = scipy_wilcoxon(a, b, correction=False, mode="approx")
-    assert res.p_value == pytest.approx(ref.pvalue, rel=1e-9)
+
+def _assert_p_matches_exact_reference(values, decimals):
+    a = np.round(np.asarray(values, dtype=np.float64), decimals)
+    res = wilcoxon_signed_rank(a, np.zeros_like(a))
+    if not res.conclusive:
+        return
+    ref = float(wilcoxon_exact_p(a, np.zeros_like(a)))
+    if res.n_effective <= 53:
+        assert res.p_value == ref  # every step of the float64 pass is exact
+    else:
+        assert abs(res.p_value - ref) <= 4 * np.spacing(ref)
+
+
+@given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=5, max_size=53), st.integers(0, 2))
+def test_wilcoxon_p_is_exact_up_to_53_pairs(values, decimals):
+    _assert_p_matches_exact_reference(values, decimals)
+
+
+# magnitudes of at least 0.6 stay nonzero after rounding, so n_eff = n > 53
+_NONZERO = st.one_of(st.floats(0.6, 3), st.floats(-3, -0.6))
+
+
+@settings(max_examples=10)
+@given(st.lists(_NONZERO, min_size=54, max_size=200), st.integers(0, 2))
+def test_wilcoxon_p_within_4_ulp_up_to_200_pairs(values, decimals):
+    _assert_p_matches_exact_reference(values, decimals)
 
 
 def test_wilcoxon_length_mismatch():
@@ -169,7 +201,7 @@ def test_wilcoxon_length_mismatch():
         wilcoxon_signed_rank([1.0, 2.0], [1.0])
 
 
-@pytest.mark.parametrize("n", [3, 8, 30])  # inconclusive, exact and normal branches
+@pytest.mark.parametrize("n", [3, 8, 30])  # fewer than 5 pairs, then 8 and 30 pairs
 def test_wilcoxon_rejects_nan(n):
     a = np.arange(1.0, n + 1)
     a[1] = np.nan
@@ -202,15 +234,38 @@ def test_import_and_load_leave_scipy_unloaded(tmp_path):
         f"opfsample.load_csv({str(csv)!r})\n"
         "print(scipy_loaded())\n"
         "rng = np.random.default_rng(18)\n"
-        "res = opfsample.wilcoxon_signed_rank(rng.normal(0.5, 1, 20), np.zeros(20))\n"
-        "print(res.n_effective, scipy_loaded())\n"
+        "for n in (20, 30):\n"
+        "    res = opfsample.wilcoxon_signed_rank(rng.normal(0.5, 1, n), np.zeros(n))\n"
+        "    print(res.n_effective, scipy_loaded())\n"
     )
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "20 []", "30 []"]
+
+
+def test_compare_runs_with_scipy_blocked(tmp_path):
+    # 30 trials on a 10-feature blob set leave 26 nonzero pairs between none and o2pf
+    X, y = blob_dataset(np.random.default_rng(19), n_maj=400, n_min=50, m=10, sep=1.0)
+    csv = write_dataset_csv(tmp_path / "toy.csv", X, y)
+    out = tmp_path / "out"
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "from opfsample import cli\n"
+        f"sys.exit(cli.main(['compare', '--data', {str(csv)!r}, '--method', 'none,o2pf',\n"
+        f"                   '--grid', '3', '--trials', '30', '--out-dir', {str(out)!r}]))\n"
+    )
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    methods = json.loads((out / "comparison.json").read_text())["methods"]
+    assert max(m["n_effective"] for m in methods) > 25
+
+
+def _run_python(script):
     src = Path(opfsample.__file__).resolve().parents[1]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "20 []"]

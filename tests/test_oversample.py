@@ -140,6 +140,8 @@ def test_allocate_conserves_total(sizes, n_new):
 
 def test_largest_remainder_tie_prefers_larger_share():
     np.testing.assert_array_equal(largest_remainder(np.array([1.5, 0.5]), 2), [2, 0])
+    # shares that sum to the total up to rounding can leave exactly one unit per share
+    np.testing.assert_array_equal(largest_remainder(np.array([1 - 2**-53]), 1), [1])
 
 
 def test_largest_remainder_rejects_inconsistent_totals():
