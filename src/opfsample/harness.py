@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -48,7 +48,7 @@ from .classifier import OpfClassifier
 from .cluster import distance_block, pairwise_distances, sweep_normalized_cuts
 from .data import SPLIT_RATIOS, Dataset, _integer, impute_mean, load_csv, split, standardize
 from .errors import ExperimentError
-from .metrics import score, wilcoxon_signed_rank
+from .metrics import WilcoxonResult, score, wilcoxon_signed_rank
 from .oversample import (
     ClusterGaussian,
     allocate,
@@ -220,8 +220,8 @@ class ExperimentReport:
     def summary(self) -> dict:
         """Mean and std of each statistic, over the trials with a value (None if none has)."""
         out = {}
-        for name, (field, _) in _STATS.items():
-            vals = np.array([v for t in self.trials if (v := getattr(t, field)) is not None],
+        for name, (attr, _) in _STATS.items():
+            vals = np.array([v for t in self.trials if (v := getattr(t, attr)) is not None],
                             dtype=np.float64)
             out[f"{name}_mean"] = float(vals.mean()) if vals.size else None
             out[f"{name}_std"] = float(vals.std()) if vals.size else None
@@ -409,13 +409,16 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Exp
 
 @dataclass(frozen=True)
 class SignificanceRow:
-    """One method's paired comparison against the best-mean method."""
+    """One method's paired comparison against the best-mean method.
+
+    ``test`` is the Wilcoxon signed-rank test of the method's recall vector
+    against the best-mean method's, as :func:`~opfsample.metrics.wilcoxon_signed_rank`
+    returns it. ``equivalent`` is True unless that test is significant and
+    the method's mean recall is lower.
+    """
 
     method: str
-    p_value: float
-    n_effective: int
-    significant: bool
-    conclusive: bool
+    test: WilcoxonResult
     is_best: bool
     equivalent: bool
 
@@ -426,36 +429,42 @@ def significance_rows(named_vectors) -> list[SignificanceRow]:
     A method is flagged equivalent when it is not significantly worse than
     the best-mean method at alpha = 0.05 (inconclusive tests count as
     equivalent). The best method compared against itself has no nonzero
-    differences and is inconclusive, hence equivalent.
+    differences and is inconclusive, hence equivalent. The first of several
+    equal best means is the best. No vector, or vectors of unequal lengths,
+    raise ``ValueError``.
     """
     names = [name for name, _ in named_vectors]
     vectors = [np.asarray(vec, dtype=np.float64) for _, vec in named_vectors]
+    if not vectors:
+        raise ValueError("need at least one recall vector to compare")
     if len({v.size for v in vectors}) > 1:
         raise ValueError("all recall vectors must have the same number of trials")
     means = [float(v.mean()) for v in vectors]
     best_i = int(np.argmax(means))
     rows = []
     for i, (name, vec) in enumerate(zip(names, vectors)):
-        res = wilcoxon_signed_rank(vec, vectors[best_i])
+        test = wilcoxon_signed_rank(vec, vectors[best_i])
         worse = means[i] < means[best_i]
-        rows.append(
-            SignificanceRow(
-                method=name,
-                p_value=res.p_value,
-                n_effective=res.n_effective,
-                significant=res.significant,
-                conclusive=res.conclusive,
-                is_best=i == best_i,
-                equivalent=not (res.significant and worse),
-            )
-        )
+        rows.append(SignificanceRow(name, test, i == best_i, not (test.significant and worse)))
     return rows
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """Several methods' reports over one seed sequence, and their paired comparison.
+
+    ``rows`` is built here, one :class:`SignificanceRow` per report in order,
+    by :func:`significance_rows` over the reports' recall vectors, so a
+    report's rows always agree with its reports. Reports with unequal trial
+    counts, or no report at all, raise ``ValueError``.
+    """
+
     reports: tuple[ExperimentReport, ...]
-    rows: tuple[SignificanceRow, ...]
+    rows: tuple[SignificanceRow, ...] = field(init=False)
+
+    def __post_init__(self):
+        rows = significance_rows([(r.config.method, r.recall_vector()) for r in self.reports])
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def best_method(self) -> str:
@@ -479,9 +488,7 @@ def compare_methods(configs, dataset: Dataset | None = None) -> ComparisonReport
                 "so trials stay seed-paired"
             )
     ds = ref.load_dataset() if dataset is None else dataset
-    reports = tuple(run_experiment(cfg, dataset=ds) for cfg in configs)
-    rows = significance_rows([(r.config.method, r.recall_vector()) for r in reports])
-    return ComparisonReport(reports, tuple(rows))
+    return ComparisonReport(tuple(run_experiment(cfg, dataset=ds) for cfg in configs))
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +544,10 @@ def comparison_to_dict(cmp: ComparisonReport) -> dict:
                 "method": row.method,
                 "summary": report.summary(),
                 "recall_vector": [t.recall for t in report.trials],
-                "p_value_vs_best": row.p_value,
-                "n_effective": row.n_effective,
-                "significant": row.significant,
-                "conclusive": row.conclusive,
+                "p_value_vs_best": row.test.p_value,
+                "n_effective": row.test.n_effective,
+                "significant": row.test.significant,
+                "conclusive": row.test.conclusive,
                 "equivalent_to_best": row.equivalent,
             }
             for report, row in zip(cmp.reports, cmp.rows)
@@ -580,7 +587,7 @@ def render_comparison_text(cmp: ComparisonReport) -> str:
     table = [["method", *(label for _, label in _STATS.values()), "p vs best", "best-group"]]
     for report, row in zip(cmp.reports, cmp.rows):
         s = report.summary()
-        p = f"{row.p_value:.4f}" if row.conclusive else "n/a"
+        p = f"{row.test.p_value:.4f}" if row.test.conclusive else "n/a"
         mark = "*" if row.equivalent else ""
         table.append([row.method, *(_fmt(s, name) for name in _STATS), p, mark])
     header, *rows = (" ".join(f"{c:<{w}}" for c, w in zip(cells, widths)) for cells in table)

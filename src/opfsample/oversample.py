@@ -7,6 +7,11 @@ feature space the input lives in (the harness passes standardized features)
 and the synthetic rows are appended after the original rows, which stay
 untouched. The harness picks the clustering and draws from its Gaussians in
 one place, ``harness._O2pfSweep.rows``.
+
+Every Gaussian has a finite mean and covariance, so every draw is finite.
+:func:`largest_remainder`, which both :func:`allocate` and ADASYN round
+their shares with, takes only a vector of finite nonnegative shares that
+sum to the requested total up to float64 rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ class ClusterGaussian:
     the symmetric eigendecomposition, taken once here, with negative
     eigenvalues clamped to zero, so a rank-deficient covariance (common when
     a cluster has fewer members than features) needs no factorization that
-    could fail.
+    could fail. A non-finite mean or covariance cell, or a covariance that is
+    not symmetric, raises ``ValueError``.
     """
 
     mu: np.ndarray
@@ -41,6 +47,8 @@ class ClusterGaussian:
         m = self.mu.shape[0]
         if self.sigma_mat.shape != (m, m):
             raise ValueError("covariance shape does not match the mean")
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma_mat).all()):
+            raise ValueError("mean and covariance must be finite")
         if not np.allclose(self.sigma_mat, self.sigma_mat.T, atol=1e-9):
             raise ValueError("covariance must be symmetric")
         if self.member_indices.size < 1:
@@ -62,15 +70,30 @@ def largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
 
     Floors first, then hands out the remainder by descending fractional part;
     ties prefer the larger share, then the lower index.
+
+    The shares must be a vector of finite nonnegative numbers that sum to
+    ``total`` up to the float64 rounding of ``size`` shares: within
+    (size + 2)·ε·total, ε being the float64 machine epsilon. A share built as
+    n·c/Σc (as :func:`allocate` does) or r/Σr·n (as ADASYN does) is within
+    three roundings of its exact value, the sum it divides by within
+    size - 1 more, and the sum checked here within size - 1 more:
+    (2·size + 1)·ε/2·total in all. Otherwise, or when ``total`` is so large
+    that this tolerance passes a quarter unit and rounding could no longer be
+    told from a missing unit, it raises ``ValueError``.
     """
     shares = np.asarray(shares, dtype=np.float64)
     total = _integer(total, "total", 0)
+    if shares.ndim != 1 or not (np.isfinite(shares).all() and (shares >= 0).all()):
+        raise ValueError("shares must be a vector of finite nonnegative numbers")
+    tol = (shares.size + 2) * np.finfo(np.float64).eps * total
+    if tol > 0.25:
+        raise ValueError(f"cannot round {shares.size} float64 shares to a total of {total}")
+    gap = float(shares.sum()) - total
+    if abs(gap) > tol:
+        raise ValueError("shares exceed the requested total" if gap > 0
+                         else "shares undersum the requested total by more than rounding")
     base = np.floor(shares).astype(np.int64)
     leftover = int(total - base.sum())
-    if leftover < 0:
-        raise ValueError("shares exceed the requested total")
-    if leftover > shares.size:
-        raise ValueError("shares undersum the requested total by more than rounding")
     frac = shares - base
     order = sorted(range(shares.size), key=lambda i: (-frac[i], -shares[i], i))
     for i in order[:leftover]:

@@ -208,6 +208,12 @@ def test_data_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2,0\n3,zzz,1\n4,5,0\n")
     assert main(["inspect", "--data", str(bad)]) == 2
+    # an unlabeled row is a data error, not a third class or a minority
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text("a,b,label\n1,2,1\n3,4,?\n5,6,1\n7,8,?\n9,10,1\n")
+    capsys.readouterr()
+    assert main(["inspect", "--data", str(unlabeled)]) == 2
+    assert "missing label '?' at row 3, column 3" in capsys.readouterr().err
 
 
 def test_single_class_csv_is_a_data_error(tmp_path, capsys):
@@ -435,7 +441,7 @@ def _csv_file(draw):
     labels = st.sampled_from(draw(st.sampled_from((("a",), ("0", "1"), ("0", "1"), ("p", "q", "r")))))
     n = draw(st.integers(1, 40))
     rows = [[draw(_NUMBER) for _ in range(width - 1)] + [draw(labels)] for _ in range(n)]
-    at = st.tuples(st.integers(0, n - 1), st.integers(0, width - 2))
+    at = st.tuples(st.integers(0, n - 1), st.integers(0, width - 1))  # the label column too
     for r, c in draw(st.lists(at, max_size=2)):
         rows[r][c] = draw(_ODD_CELL)
     for r in draw(st.lists(st.integers(0, n - 1), max_size=1)):  # a ragged row

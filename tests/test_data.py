@@ -220,6 +220,18 @@ def test_load_csv_numbers_rows_by_their_line_in_the_file(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("token, cell", [("?", "?"), ("?", ""), ("", ""), ("NA", "NA")])
+def test_load_csv_rejects_a_missing_label(tmp_path, token, cell):
+    path = tmp_path / "unlabeled.csv"
+    path.write_text(f"a,b,label\n1,2,1\n3,4,{cell}\n5,6,1\n7,8,{cell}\n9,10,1\n")
+    with pytest.raises(DataError, match=re.escape(f"missing label {cell!r} at row 3, column 3")):
+        load_csv(path, missing_token=token)
+    # in a middle label column, and before the labels are counted and mapped
+    path.write_text(f"1,a,2\n3,b,4\n5,{cell},6\n7,c,8\n")
+    with pytest.raises(DataError, match=re.escape(f"missing label {cell!r} at row 3, column 2")):
+        load_csv(path, label_column=1, missing_token=token)
+
+
 def test_load_csv_rejects_non_utf8_bytes(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"1,2,0\n3,4,1\n5,6,0\n\xff\xfe\n")

@@ -9,7 +9,10 @@ from opfsample import baselines, classifier, cli, harness, oversample_to_count
 from opfsample.data import Dataset, split as data_split
 from opfsample.errors import DataError, ExperimentError
 from opfsample.harness import (
+    ComparisonReport,
     ExperimentConfig,
+    ExperimentReport,
+    TrialReport,
     _TrialAugmenter,
     compare_methods,
     comparison_csv,
@@ -24,6 +27,7 @@ from opfsample.harness import (
     trials_csv,
     validation_trace_csv,
 )
+from opfsample.metrics import wilcoxon_signed_rank
 
 from helpers import (
     NOT_INTEGERS,
@@ -618,9 +622,9 @@ def test_self_comparison_is_inconclusive_and_equivalent():
     vec = np.linspace(0.4, 0.9, 20)
     rows = significance_rows([("a", vec), ("b", vec.copy())])
     for row in rows:
-        assert not row.conclusive or row.p_value == 1.0
+        assert not row.test.conclusive or row.test.p_value == 1.0
         assert row.equivalent
-        assert not row.significant
+        assert not row.test.significant
 
 
 def test_disjoint_recall_distributions_are_significant():
@@ -630,13 +634,42 @@ def test_disjoint_recall_distributions_are_significant():
     rows = significance_rows([("good", hi), ("bad", lo)])
     good, bad = rows
     assert good.is_best and good.equivalent
-    assert bad.significant and not bad.equivalent
-    assert bad.p_value < 0.05
+    assert bad.test.significant and not bad.equivalent
+    assert bad.test.p_value < 0.05
 
 
 def test_significance_rows_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         significance_rows([("a", np.zeros(5)), ("b", np.zeros(6))])
+
+
+def _recall_report(method, recalls):
+    """A hand-built report whose trials carry ``recalls``; nothing is run."""
+    cfg = ExperimentConfig(data_path="unused.csv", method=method, trials=len(recalls))
+    trials = tuple(TrialReport(t, t, None, float(r), 0.5, 0.5, (), (1, 1))
+                   for t, r in enumerate(recalls))
+    return ExperimentReport(cfg, trials)
+
+
+def test_comparison_report_builds_its_rows_from_its_reports():
+    rng = np.random.default_rng(73)
+    reports = tuple(_recall_report(m, rng.uniform(0.3, 0.9, 12)) for m in ("none", "smote", "o2pf"))
+    cmp = ComparisonReport(reports)
+    vectors = [r.recall_vector() for r in reports]
+    assert list(cmp.rows) == significance_rows(
+        [(r.config.method, v) for r, v in zip(reports, vectors)])
+    best = vectors[int(np.argmax([v.mean() for v in vectors]))]
+    for report, vec, row in zip(reports, vectors, cmp.rows):
+        assert row.method == report.config.method
+        assert row.test == wilcoxon_signed_rank(vec, best)  # every field, W included
+    assert sum(row.is_best for row in cmp.rows) == 1
+
+
+def test_comparison_report_rejects_unpaired_or_empty_reports():
+    with pytest.raises(ValueError, match="same number of trials"):
+        ComparisonReport((_recall_report("none", [0.5] * 5), _recall_report("smote", [0.5] * 6)))
+    with pytest.raises(ValueError, match="at least one recall vector"):
+        ComparisonReport(())
 
 
 def test_report_emitters(small_ds, tmp_path):

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opfsample import oversample_to_count
+from opfsample import baselines, oversample_to_count
 from opfsample.cluster import (
     ClusterForest,
     build_knn_graph,
@@ -12,6 +14,7 @@ from opfsample.cluster import (
     sweep_normalized_cuts,
 )
 from opfsample.data import Dataset
+from opfsample.harness import MAX_TRAINING_ROWS
 from opfsample.oversample import (
     ClusterGaussian,
     OversamplePlan,
@@ -80,6 +83,11 @@ def test_cluster_gaussian_counts_its_members():
         ClusterGaussian(np.zeros(2), np.eye(3), members)
     with pytest.raises(ValueError, match="symmetric"):
         ClusterGaussian(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), members)
+    for mu, sigma in (([np.nan, 0.0], np.eye(2)), ([np.inf, 0.0], np.eye(2)),
+                      (np.zeros(2), [[np.inf, 0.0], [0.0, 1.0]]),
+                      (np.zeros(2), [[np.nan, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="mean and covariance must be finite"):
+            ClusterGaussian(np.array(mu), np.array(sigma), members)
 
 
 def test_covariance_matches_two_pass_oracle():
@@ -149,6 +157,13 @@ def test_largest_remainder_rejects_inconsistent_totals():
         largest_remainder(np.array([3.0, 3.0]), 2)
     with pytest.raises(ValueError, match="undersum"):
         largest_remainder(np.array([0.2, 0.2]), 5)
+    with pytest.raises(ValueError, match="undersum .* by more than rounding"):
+        largest_remainder(np.array([0.5, 0.4]), 2)
+    for shares in ([-0.5, 1.5], [np.nan], [np.inf, 0.0], [-np.inf], 1.0, [[0.5], [0.5]]):
+        with pytest.raises(ValueError, match="a vector of finite nonnegative numbers"):
+            largest_remainder(np.array(shares), 1)
+    with pytest.raises(ValueError, match="cannot round 3 float64 shares"):
+        largest_remainder(np.full(3, 10**16 / 3), 10**16)
     with pytest.raises(ValueError, match="nonnegative"):
         largest_remainder(np.array([0.0, 0.0]), -1)
     for total in (2.0, *NOT_INTEGERS):
@@ -156,6 +171,25 @@ def test_largest_remainder_rejects_inconsistent_totals():
             largest_remainder(np.array([0.5, 0.5]), total)
     for kind in (np.int64, np.int32):
         np.testing.assert_array_equal(largest_remainder(np.array([1.5, 0.5]), kind(2)), [2, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 1000), st.integers(0, MAX_TRAINING_ROWS), st.integers(1, MAX_TRAINING_ROWS),
+       st.integers(1, 50), st.integers(0, 2**32 - 1))
+def test_largest_remainder_takes_every_share_vector_the_samplers_build(size, total, most, kappa,
+                                                                       seed):
+    rng = np.random.default_rng(seed)
+    # allocate's n·c/Σc over cluster sizes (it reads only each cluster's count)
+    counts = rng.integers(1, most, size, endpoint=True)
+    plan = allocate([SimpleNamespace(count=int(c)) for c in counts], total)
+    shares = total * counts / counts.sum()
+    assert sum(plan.per_cluster_counts) == total
+    assert np.all(np.abs(np.array(plan.per_cluster_counts) - shares) < 1)
+    # ADASYN's r/Σr·n, r being each minority row's majority neighbors over kappa
+    maj_counts = rng.integers(0, kappa, size, endpoint=True)
+    maj_counts[rng.integers(size)] = max(1, maj_counts.max())
+    per_row = baselines._allocation(maj_counts, kappa, total)
+    assert per_row.sum() == total and per_row.min() >= 0
 
 
 def test_synthesize_plan_rejects_an_empty_cluster_list():

@@ -29,7 +29,6 @@ from opfsample.harness import (
     render_comparison_text,
     render_report_text,
     report_to_json,
-    significance_rows,
     trials_csv,
     validation_trace_csv,
 )
@@ -67,9 +66,7 @@ def _report(method: str) -> ExperimentReport:
 
 
 def _comparison() -> ComparisonReport:
-    reports = tuple(_report(method) for method in TRIALS)
-    rows = significance_rows([(r.config.method, r.recall_vector()) for r in reports])
-    return ComparisonReport(reports, tuple(rows))
+    return ComparisonReport(tuple(_report(method) for method in TRIALS))
 
 
 def _golden(name: str) -> str:
@@ -79,8 +76,8 @@ def _golden(name: str) -> str:
 def test_the_fixture_covers_both_verdicts():
     rows = {row.method: row for row in _comparison().rows}
     assert rows["o2pf"].is_best
-    assert rows["smote"].conclusive and not rows["smote"].equivalent
-    assert not rows["none"].conclusive and rows["none"].equivalent
+    assert rows["smote"].test.conclusive and not rows["smote"].equivalent
+    assert not rows["none"].test.conclusive and rows["none"].equivalent
 
 
 def test_comparison_emitters_match_golden():
