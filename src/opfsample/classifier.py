@@ -7,15 +7,36 @@ of the complete graph is a minimum spanning forest, so the costs come from two
 linear passes over the order in which Prim's algorithm joins the nodes. Every
 single-class subtree left by cutting the tree's cross-class arcs holds a
 prototype of its own class, so each training sample keeps its own label.
-Prediction scores a batch of probes at once: it takes the probes' distances
-to every training sample as one block, raises each cell to that sample's cost,
-and reads the label of each row's first minimum.
+Prediction scores a batch of probes at once: each probe's value at a
+training sample is the larger of that sample's cost and their distance, and
+the probe takes the label of its row's first minimum.
 
-Fits that share their leading training rows can share the distances among
-those rows: ``fit`` takes them as ``known_dist`` and computes only the rest.
-Predictions for the same probes against such fits can share each probe's
-distances to those rows in the same way: ``predict_batch`` takes them as
-``known``.
+Only the distances that can decide an output are computed exactly, with the
+one exact expression of :mod:`opfsample.cluster`; every other cell is read
+through certified lower and upper bounds from one matrix product
+(:func:`~opfsample.cluster.distance_bounds`). Every output is bit for bit what
+exact distances give:
+
+- Prim reads a node's row, and computes a bounded cell exactly only when its
+  lower bound is below the open node's key, the only case in which the cell
+  could lower that key. Keys, and so the join weights the costs come from,
+  are always exact.
+- Prediction computes a probe's distance to training sample j only when
+  max(cost_j, lower_j) is at most the row's least max(cost_j, upper_j), an
+  upper bound on the row's minimum, and cost_j < upper_j: a cell with
+  upper_j <= cost_j has the value cost_j whatever its distance.
+
+Prediction always bounds. A fit may get its first t rows' exact distances as
+``known_dist`` (the grid values of a trial share their training rows), and it
+reads those cells as they are. Computing the other s = n - t rows exactly
+costs s(t + s/2)m multiply-adds, against Prim's per-step overhead for
+refining, which grows with n. So a fit
+bounds those s rows only when that work per step, s(t + s/2)m / n, exceeds
+``_CERTIFY_ABOVE``, and otherwise computes its whole matrix exactly with
+:func:`~opfsample.cluster.pairwise_distances`. A row whose squared norm could
+overflow a bound takes the exact path in both fit and prediction, so an
+overflowing distance raises the same ``ValueError`` as ever.
+
 ``fit`` is the one way a model gets its state: loading a JSON blob refits on
 the stored rows and labels (O(n²)) and rejects a blob whose stored costs or
 prototypes disagree with that fit.
@@ -27,20 +48,49 @@ import json
 
 import numpy as np
 
-from .cluster import distance_block, pairwise_distances
+from .cluster import (
+    distance_block,
+    distance_bounds,
+    pairwise_distances,
+    pairwise_lower_bounds,
+    row_distances,
+    squared_norms,
+)
 from .data import _frozen
 
 SERIAL_FORMAT_VERSION = 2
+# A fit bounds its synthetic rows instead of computing them when the exact work
+# per Prim step, s(t + s/2)m / n, exceeds this (crossover measured on 2 cores,
+# one BLAS thread: see CHANGES.md).
+_CERTIFY_ABOVE = 5000.0
 
 
-def _prim(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _certified_fit(n: int, t: int, m: int) -> bool:
+    """Whether a fit of n rows of m features, the first t with known exact
+    distances, bounds the other rows' distances."""
+    s = n - t
+    return s * (t + s / 2) * m > _CERTIFY_ABOVE * n
+
+
+def _prim(dist: np.ndarray, X: np.ndarray | None = None,
+          exact: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prim's algorithm on a complete graph from node 0; lowest index wins ties.
 
-    Returns the nodes after the root in the order they join the tree, and
-    each node's parent. The loop writes into preallocated arrays, since its
-    per-step numpy calls dominate small fits.
+    Cells of ``dist`` inside its top-left ``exact`` x ``exact`` block (all of
+    it by default) are exact distances; every other cell is a lower bound on
+    the exact distance between those rows of ``X``. Such a cell is computed
+    exactly, and written back, only when its bound is below the open node's
+    key, so the tree is the one the exact matrix gives.
+
+    Returns the nodes after the root in the order they join the tree, each
+    node's parent, and each node's join weight: its exact distance to its
+    parent (0 at the root), read from the parent's row, where every cell a
+    key came from is exact. The loop writes into preallocated arrays, since
+    its per-step numpy calls dominate small fits.
     """
     n = dist.shape[0]
+    exact = n if exact is None else exact
+    bounded = exact < n
     key = np.full(n, np.inf)
     key[0] = 0.0
     open_nodes = np.ones(n, dtype=bool)
@@ -55,19 +105,27 @@ def _prim(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         row = dist[u]
         np.less(row, key, out=better)
         better &= open_nodes
+        if bounded:
+            first = exact if u < exact else 0  # row u's cells from here on are bounds
+            cells = np.flatnonzero(better[first:]) + first
+            if cells.size:
+                d = row_distances(X[cells], X[u])
+                row[cells] = d
+                better[cells] = d < key[cells]
         np.copyto(key, row, where=better)
         np.copyto(parent, u, where=better)
-    return order[1:], parent
+    return order[1:], parent, dist[parent, np.arange(n)]
 
 
-def _tree_minimax_costs(dist: np.ndarray, joined, parent, sources: np.ndarray) -> np.ndarray:
+def _tree_minimax_costs(weight: np.ndarray, joined, parent, sources: np.ndarray) -> np.ndarray:
     """Smallest largest-arc cost from ``sources`` to each node over Prim's tree.
 
-    The children-to-parents pass gives the best path into each subtree; the
-    parents-to-children pass adds the best path through the parent.
+    ``weight`` holds each node's arc to its parent. The children-to-parents
+    pass gives the best path into each subtree; the parents-to-children pass
+    adds the best path through the parent.
     """
-    n = dist.shape[0]
-    weight = dist[np.arange(n), parent].tolist()  # each node's arc to its parent
+    n = weight.shape[0]
+    weight = weight.tolist()
     joined, parent = joined.tolist(), parent.tolist()
     cost = [np.inf] * n
     for s in sources.tolist():
@@ -78,6 +136,28 @@ def _tree_minimax_costs(dist: np.ndarray, joined, parent, sources: np.ndarray) -
     for u in joined:
         cost[u] = min(cost[u], max(cost[parent[u]], weight[u]))
     return np.array(cost)
+
+
+def _first_minima(A, P, sq_a, sq_p, cost) -> np.ndarray:
+    """Each probe row's first index of least max(cost_j, d_j) over the rows of ``A``.
+
+    Computes exactly only the cells that could hold a row's minimum (module
+    docstring); every row of ``A`` and ``P`` must be one that may enter a bound.
+    """
+    lower, upper = distance_bounds(A, P, sq_a, sq_p)
+    # a cell with upper_j <= cost_j has the value cost_j; a NaN bound is no bound
+    refine = ~(upper <= cost)
+    np.maximum(cost, upper, out=upper)
+    least = np.fmin.reduce(upper, axis=1, initial=np.inf)
+    del upper
+    np.maximum(cost, lower, out=lower)
+    rows, cols = np.nonzero(lower <= least[:, np.newaxis])
+    value = cost[cols]
+    pick = refine[rows, cols]
+    value[pick] = np.maximum(value[pick], row_distances(A[cols[pick]], P[rows[pick]]))
+    lower.fill(np.inf)
+    lower[rows, cols] = value
+    return lower.argmin(axis=1)
 
 
 class OpfClassifier:
@@ -97,8 +177,8 @@ class OpfClassifier:
 
         ``known_dist``, when given, must be the distance matrix of the first t
         rows of ``X`` as :func:`~opfsample.cluster.pairwise_distances` returns
-        it; only the remaining rows are computed, and the result is the same
-        as without it. A block that is not square with t <= n raises
+        it; those cells are read as they are, and the result is the same as
+        without it. A block that is not square with t <= n raises
         ``ValueError``, and so does a distance that overflows to inf.
         """
         X = _frozen(X, np.float64)
@@ -113,16 +193,27 @@ class OpfClassifier:
         classes = np.unique(y)
         if classes.size != 2:
             raise ValueError("training requires samples from both classes")
-        with np.errstate(over="ignore", invalid="ignore"):
-            dist = pairwise_distances(X, known=known_dist)
+        n, m = X.shape
+        t = np.shape(known_dist)[0] if np.ndim(known_dist) == 2 else 0
+        certified = _certified_fit(n, t, m)
+        if certified:
+            sq, bounded = squared_norms(X)
+            certified = bounded.all()
+        if certified:
+            dist = pairwise_lower_bounds(X, sq, known_dist)
+            exact = t
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                dist = pairwise_distances(X, known=known_dist)
+            exact = n
         # a NaN or inf cell wins the max (a distance is never -inf), and the
         # max needs no n x n temporary at the fit's memory peak
         if not np.isfinite(dist.max()):
             raise ValueError("training features must give finite pairwise distances")
-        joined, parent = _prim(dist)
+        joined, parent, weight = _prim(dist, X, exact)
         cross = joined[y[joined] != y[parent[joined]]]
         prototypes = np.unique(np.concatenate([cross, parent[cross]]))
-        cost = _tree_minimax_costs(dist, joined, parent, prototypes)
+        cost = _tree_minimax_costs(weight, joined, parent, prototypes)
 
         self.train_features_ = X
         self.train_labels_ = y
@@ -139,23 +230,17 @@ class OpfClassifier:
         """Classify one sample: :meth:`predict_batch` on a batch of one."""
         return int(self.predict_batch(np.asarray(x, dtype=np.float64)[np.newaxis])[0])
 
-    def predict_batch(self, X, known=None) -> np.ndarray:
+    def predict_batch(self, X) -> np.ndarray:
         """Full-scan prediction for a batch; ties go to the lowest index.
 
         Each probe's value at a training sample is the larger of that
         sample's cost and their distance, and the probe takes the label of
-        its smallest value.
-
-        ``known``, when given, must hold each probe's distances to the first
-        t training rows, as :func:`~opfsample.cluster.distance_block` gives
-        them; only the remaining columns are computed, and the labels are the
-        same as without it. A block that is not ``len(X)`` x t with t at most
-        the training row count raises ``ValueError``.
+        its smallest value. Only the distances that could decide a label are
+        computed exactly (module docstring).
 
         A probe whose distance to a training sample is not finite (it
         overflows, or the probe holds inf) raises ``ValueError`` naming the
-        first such probe, as in :meth:`fit`; a known cell that is NaN or inf
-        counts as one of those distances.
+        first such probe, as in :meth:`fit`.
         """
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
@@ -163,14 +248,28 @@ class OpfClassifier:
             raise ValueError("batch shape does not match the training features")
         if np.isnan(X).any():
             raise ValueError("probes must not contain NaN")
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = distance_block(self.train_features_, X, known)
-        # as in fit, a NaN or inf cell wins its row's max, with no v x n temporary
-        bad = np.flatnonzero(~np.isfinite(d.max(axis=1)))
-        if bad.size:
-            raise ValueError(f"probe {bad[0]} must give finite distances to training rows")
-        np.maximum(self.cost_, d, out=d)
-        return self.assigned_label_[d.argmin(axis=1)]
+        A, cost = self.train_features_, self.cost_
+        sq_a, bounded_a = squared_norms(A)
+        sq_p, bounded = squared_norms(X)
+        bounded &= bounded_a.all()
+        index = np.empty(X.shape[0], dtype=np.intp)
+        # rows that could overflow a bound take the exact path; they alone can
+        # give a distance that is not finite
+        rows = np.flatnonzero(~bounded)
+        if rows.size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = distance_block(A, X[rows])
+            # as in fit, a NaN or inf cell wins its row's max, with no temporary block
+            bad = np.flatnonzero(~np.isfinite(d.max(axis=1)))
+            if bad.size:
+                raise ValueError(
+                    f"probe {rows[bad[0]]} must give finite distances to training rows")
+            np.maximum(cost, d, out=d)
+            index[rows] = d.argmin(axis=1)
+        rows = np.flatnonzero(bounded)
+        if rows.size:
+            index[rows] = _first_minima(A, X[rows], sq_a, sq_p[rows], cost)
+        return self.assigned_label_[index]
 
     def to_json(self) -> str:
         """Serialize the fitted model to a versioned JSON blob."""

@@ -8,9 +8,34 @@ over a search range.
 
 The package's exact Euclidean distances all come from this module:
 :func:`pairwise_distances` for the square matrix of one set, each pair
-computed once, and :func:`distance_block` for probe rows against the rows of
-another set. Both compute a cell as the square root of its feature-ordered
-sum of squared differences, so a pair gives the same float in either.
+computed once, :func:`distance_block` for probe rows against the rows of
+another set, and :func:`row_distances` for any chosen cells. Each computes a
+cell as the square root of its feature-ordered sum of squared differences, so
+a pair gives the same float in all three.
+
+Certified bounds. :func:`distance_bounds` and :func:`pairwise_lower_bounds`
+bound those exact cells from one matrix product, so a caller computes exactly
+only the cells a decision could read. With squared norms ``sa = ||a||²``,
+``sb = ||b||²`` and ``g = a·b``, a cell's squared distance is
+``sa + sb - 2g``. Every float dot product of length m, norms included, is
+within ``γ_m`` times the sum of its absolute products of the real one, for
+any summation order, blocking or FMA use (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., 2002, ch. 3), where ``γ_k = k·u / (1 - k·u)``
+and ``u = 2⁻⁵³``. So the computed ``sa + sb - 2g``, with its own three
+roundings, is within about ``(2m + 3)·u·(sa + sb)`` of the real squared
+distance, and the exact expression's float sum is within
+``2·γ_(m+2)·(sa + sb)`` of it. Both together stay below
+``c·(sa + sb) + e`` with ``c = 8·γ_(m+4)``; ``e = 8·(m + 4)`` times the
+smallest normal float covers every product that underflows, even where
+subnormals flush to zero. The bounds are therefore
+``(1 ∓ c)·(sa + sb) - 2g ∓ e``, written into the product's own cells in
+place, raised to 0 and square rooted. A NaN cell (``inf - inf``) gets the
+lower bound 0 and stays NaN as an upper bound, which callers read as no
+bound. The square root is correctly rounded, hence monotone, so a bound on
+the squared float is a bound on the exact distance itself. A row whose
+squared norm is not finite or exceeds ``2¹⁰⁰⁰`` could overflow a bound; it
+must not enter one (:func:`squared_norms` flags it), and callers compute its
+cells exactly instead.
 """
 
 from __future__ import annotations
@@ -81,37 +106,42 @@ class ClusterForest:
         object.__setattr__(self, "num_clusters", int(self.roots.size))
 
 
-def _row_distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Euclidean distance from ``x`` to each row of ``A``."""
+def row_distances(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance from ``x`` to each row of ``A``.
+
+    ``x`` is one row, or as many rows as ``A``, each paired with the row of
+    ``A`` at its index. A cell does not depend on the other rows, so it is the
+    same float wherever it is computed.
+    """
     return np.sqrt(((A - x) ** 2).sum(axis=1))
 
 
-def distance_block(A: np.ndarray, P: np.ndarray, known: np.ndarray | None = None) -> np.ndarray:
+def distance_block(A: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Each row of ``P``'s exact distances to every row of ``A``, one row of the block each.
 
-    Row r is :func:`_row_distances` of ``P[r]``, bit for bit: each cell is
-    computed on its own, so a cell does not depend on the other columns.
-
-    ``known`` may hold the block's first t columns; they are copied in and only
-    columns t..len(A)-1 are computed. A block that is not ``len(P)`` x t with
-    t at most ``len(A)`` raises ``ValueError``.
+    Row r is :func:`row_distances` of ``P[r]``, bit for bit.
     """
-    n = A.shape[0]
-    out = np.empty((P.shape[0], n))
-    t = 0
-    if known is not None:
-        known = np.asarray(known, dtype=np.float64)
-        if known.ndim != 2 or known.shape[0] != P.shape[0] or known.shape[1] > n:
-            raise ValueError(
-                f"known distances must be a {P.shape[0]} x t block with t <= {n}, "
-                f"got shape {known.shape}"
-            )
-        t = known.shape[1]
-        out[:, :t] = known
-    rest = A[t:]
+    out = np.empty((P.shape[0], A.shape[0]))
     for r, p in enumerate(P):
-        out[r, t:] = _row_distances(rest, p)
+        out[r] = row_distances(A, p)
     return out
+
+
+def _with_known(X: np.ndarray, known) -> tuple[np.ndarray, int]:
+    """A new n x n matrix for ``X``'s rows holding ``known`` in its top-left t x t corner, and t."""
+    n = X.shape[0]
+    out = np.empty((n, n), dtype=np.float64)
+    if known is None:
+        return out, 0
+    known = np.asarray(known, dtype=np.float64)
+    if known.ndim != 2 or known.shape[0] != known.shape[1] or known.shape[0] > n:
+        raise ValueError(
+            f"known distances must be a square t x t block with t <= {n}, "
+            f"got shape {known.shape}"
+        )
+    t = known.shape[0]
+    out[:t, :t] = known
+    return out, t
 
 
 def pairwise_distances(X: np.ndarray, known: np.ndarray | None = None) -> np.ndarray:
@@ -126,23 +156,86 @@ def pairwise_distances(X: np.ndarray, known: np.ndarray | None = None) -> np.nda
     block is copied and only rows t..n-1 are computed.
     """
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    t = 0
-    if known is not None:
-        known = np.asarray(known, dtype=np.float64)
-        if known.ndim != 2 or known.shape[0] != known.shape[1] or known.shape[0] > n:
-            raise ValueError(
-                f"known distances must be a square t x t block with t <= {n}, "
-                f"got shape {known.shape}"
-            )
-        t = known.shape[0]
-        out[:t, :t] = known
-    for i in range(t, n):
-        d = _row_distances(X[: i + 1], X[i])
+    out, t = _with_known(X, known)
+    for i in range(t, X.shape[0]):
+        d = row_distances(X[: i + 1], X[i])
         out[i, : i + 1] = d
         out[:i, i] = d[:i]
     np.fill_diagonal(out, 0.0)
+    return out
+
+
+# The certified bounds (module docstring): c = _BOUND_FACTOR * gamma_(m+4), and
+# the underflow term is _BOUND_FACTOR * (m + 4) smallest normal floats.
+_BOUND_FACTOR = 8.0
+# a row whose squared norm exceeds this could overflow a bound
+_SQUARED_NORM_LIMIT = 2.0 ** 1000
+
+
+def squared_norms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's squared norm, and whether the row may enter a bound.
+
+    A row may when its squared norm is finite and at most ``2¹⁰⁰⁰``; a NaN,
+    an inf or an overflow fails that test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", X, X)
+    return sq, sq <= _SQUARED_NORM_LIMIT
+
+
+def _bound_terms(m: int) -> tuple[float, float]:
+    """(c, e) for m features: a computed squared distance is within c·(sa + sb) + e."""
+    u = 2.0 ** -53
+    k = m + 4
+    return _BOUND_FACTOR * k * u / (1.0 - k * u), _BOUND_FACTOR * k * np.finfo(np.float64).tiny
+
+
+def _bound_in_place(gram: np.ndarray, sq_rows: np.ndarray, sq_cols: np.ndarray, m: int,
+                    side: float) -> None:
+    """Turn products ``gram[i, j] = row_i · col_j`` into lower (side -1) or upper
+    (side +1) bounds on the exact distances, in place."""
+    c, e = _bound_terms(m)
+    c, e = side * c, side * e
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram *= -2.0
+        gram += ((1.0 + c) * sq_rows + e)[:, np.newaxis]
+        gram += (1.0 + c) * sq_cols
+        # a NaN lower bound becomes 0 (fmax), and a NaN upper bound stays NaN
+        # (maximum), which a caller reads as unbounded: neither hides a cell
+        (np.fmax if side < 0 else np.maximum)(gram, 0.0, out=gram)
+        np.sqrt(gram, out=gram)
+
+
+def distance_bounds(A: np.ndarray, P: np.ndarray, sq_a: np.ndarray,
+                    sq_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on :func:`distance_block` ``(A, P)``, cell by cell.
+
+    ``sq_a`` and ``sq_p`` are the rows' :func:`squared_norms`, and every row
+    must be one that may enter a bound. One matrix product gives both blocks.
+    """
+    lower = np.matmul(P, A.T)
+    upper = lower.copy()
+    _bound_in_place(lower, sq_p, sq_a, A.shape[1], -1.0)
+    _bound_in_place(upper, sq_p, sq_a, A.shape[1], 1.0)
+    return lower, upper
+
+
+def pairwise_lower_bounds(X: np.ndarray, sq: np.ndarray,
+                          known: np.ndarray | None = None) -> np.ndarray:
+    """:func:`pairwise_distances` with every cell outside the known block a lower bound.
+
+    ``known`` is exact and is copied in as in :func:`pairwise_distances`;
+    rows t..n-1 get lower bounds against every row, written in place into
+    the matrix's own rows, and are mirrored into columns t..n-1 above them.
+    ``sq`` is ``X``'s :func:`squared_norms`, and every row must be one that
+    may enter a bound.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    out, t = _with_known(X, known)
+    rest = out[t:]
+    np.matmul(X[t:], X.T, out=rest)
+    _bound_in_place(rest, sq[t:], sq, X.shape[1], -1.0)
+    out[:t, t:] = rest[:, :t].T
     return out
 
 

@@ -200,11 +200,12 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
     index; the default is the last column. Feature cells equal to
     ``missing_token`` become NaN and stay that way until :func:`impute_mean`
     runs; any other feature cell that parses to a non-finite number (``inf``,
-    ``nan``, ``1e999``) raises :class:`DataError`. A label cell that is empty
-    or equals ``missing_token`` raises :class:`DataError`: a missing label is
-    not a class. Error messages number rows by their line in the file. Row
-    order is preserved. Raw label values are mapped onto {0, 1}: numerically
-    when both parse as numbers, lexicographically otherwise, smallest first.
+    ``nan``, ``1e999``) raises :class:`DataError`. A label cell that is empty,
+    equals ``missing_token`` or parses to a non-finite number raises
+    :class:`DataError`: a missing label is not a class. Error messages number
+    rows by their line in the file. Row order is preserved. Raw label values
+    are mapped onto {0, 1}: numerically when both parse as numbers,
+    lexicographically otherwise, smallest first.
 
     ``path`` is a ``str``, ``bytes`` or :class:`os.PathLike` file path; any
     other value, an ``int`` file descriptor among them, raises
@@ -261,6 +262,8 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
             if i == label_idx:
                 if cell in ("", missing_token):
                     raise DataError(f"{path}: missing label {cell!r} at row {line}, column {i + 1}")
+                if _parses_as_float(cell) and not math.isfinite(float(cell)):
+                    raise DataError(f"{path}: non-finite label {cell!r} at row {line}, column {i + 1}")
                 raw_labels.append(cell)
                 continue
             if cell == missing_token:

@@ -45,7 +45,7 @@ from .baselines import (
     smote,
 )
 from .classifier import OpfClassifier
-from .cluster import distance_block, pairwise_distances, sweep_normalized_cuts
+from .cluster import pairwise_distances, sweep_normalized_cuts
 from .data import SPLIT_RATIOS, Dataset, _integer, impute_mean, load_csv, split, standardize
 from .errors import ExperimentError
 from .metrics import WilcoxonResult, score, wilcoxon_signed_rank
@@ -62,11 +62,12 @@ DEFAULT_KAPPA_GRID = tuple(range(5, 11))
 BALANCE_TO_MAJORITY = "balance_to_majority"
 RATIO_MODE = "ratio"
 # Largest augmented training set a trial may ask for. While a synthesizing trial
-# fits, it holds three float64 blocks: the training block (t x t), the fit's own
-# matrix (n x n) and the validation block (v x t), 8t² + 8n² + 8vt bytes for t
-# training, n augmented and v validation rows. With the 70/15/15 split that is
-# about 7.1 GB as t and n near 20,000. A trial that synthesizes nothing holds
-# only its fit's matrix, 8t², 3.2 GB at 20,000 rows. (Arithmetic, not measured.)
+# fits, it holds two float64 blocks: the training block (t x t) and the fit's own
+# matrix (n x n), exact or holding bounds, 8t² + 8n² bytes for t training and n
+# augmented rows, about 6.4 GB as t and n near 20,000. Prediction holds at most
+# two v x n blocks for v probes, and the fit's matrix is gone by then. A trial
+# that synthesizes nothing holds only its fit's matrix, 8t², 3.2 GB at 20,000
+# rows. (Arithmetic, not measured.)
 MAX_TRAINING_ROWS = 20_000
 
 
@@ -344,10 +345,8 @@ def select_hyperparameter(augmenter: _TrialAugmenter, val: Dataset):
     gets that recall and the smallest wins. Method "none" has no grid and
     returns (None, model, counts, ()).
 
-    Otherwise the grid values share two blocks, built here once per trial:
-    the training partition's distance matrix, which each fit extends, and the
-    validation rows' distances to the training rows, so each grid value's
-    prediction computes only the synthetic columns.
+    Otherwise the grid values share the training partition's distance
+    matrix, built here once per trial, which each fit extends.
     """
     train = augmenter.train
     if not augmenter.n_new:
@@ -357,15 +356,12 @@ def select_hyperparameter(augmenter: _TrialAugmenter, val: Dataset):
         recall = score(val.labels, model.predict_batch(val.features), val.minority_label).recall
         trace = tuple((g, recall) for g in augmenter.grid)
         return augmenter.grid[0], model, train.class_counts, trace
-    # a cell that overflows reads inf, which prediction rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        known = distance_block(train.features, val.features)
     train_dist = pairwise_distances(train.features)
     chosen, best, trace = None, -math.inf, []
     for g in augmenter.grid:
         aug = augmenter.augment(g)
         model = OpfClassifier().fit(aug.features, aug.labels, known_dist=train_dist)
-        labels = model.predict_batch(val.features, known=known)
+        labels = model.predict_batch(val.features)
         recall = score(val.labels, labels, val.minority_label).recall
         trace.append((g, recall))
         if recall > best:  # the grid ascends, so a tie keeps the smaller value

@@ -6,8 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from opfsample.classifier import OpfClassifier, _prim
-from opfsample.cluster import distance_block, pairwise_distances
+from opfsample import cluster
+from opfsample.classifier import (
+    OpfClassifier,
+    _certified_fit,
+    _first_minima,
+    _prim,
+    _tree_minimax_costs,
+)
+from opfsample.cluster import (
+    distance_block,
+    distance_bounds,
+    pairwise_distances,
+    pairwise_lower_bounds,
+    squared_norms,
+)
 
 from helpers import (
     classifier_cost_closure,
@@ -113,7 +126,7 @@ def test_predict_matches_full_scan_oracle():
     )
     # an integer grid whose second half repeats the first, so rows of both
     # classes coincide and equal max(cost, d) values decide many labels by
-    # the lowest-index rule, with or without a known prefix of the distances
+    # the lowest-index rule
     for seed in (45, 46, 47):
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 4, size=(30, 2)).astype(np.float64)
@@ -123,9 +136,7 @@ def test_predict_matches_full_scan_oracle():
         model = OpfClassifier().fit(X, y)
         probes = rng.integers(-1, 5, size=(40, 2)).astype(np.float64)
         want = [predict_full_scan(X, model.cost_, model.assigned_label_, p) for p in probes]
-        block = distance_block(X, probes)
-        for t in (0, 1, len(X) // 2, len(X)):
-            np.testing.assert_array_equal(model.predict_batch(probes, known=block[:, :t]), want)
+        np.testing.assert_array_equal(model.predict_batch(probes), want)
 
 
 @settings(max_examples=40)
@@ -324,56 +335,205 @@ def test_prim_matches_textbook_prim_where_ties_decide_the_tree():
         X = rng.integers(0, 3, size=(n, 2)).astype(np.float64)
         X[n // 2:] = X[: n - n // 2]  # the second half repeats the first
         dist = pairwise_rows(X)
-        joined, parent = _prim(dist)
+        joined, parent, weight = _prim(dist)
         want_joined, want_parent = textbook_prim(dist.tolist())
         assert joined.tolist() == want_joined
         assert parent.tolist() == want_parent
+        np.testing.assert_array_equal(weight, dist[np.arange(n), parent])
 
 
-def _rounded_fit(seed):
-    # one decimal, so probe distances and path costs tie often
+# The certified path. Each test below calls the private helpers directly, so
+# both sides of the fit's selection rule are exercised on small inputs.
+
+_KINDS = ("normal", "grid", "ulp", "offset")
+
+
+def _bounded_case(seed, n, m, kind, exponent, v):
+    """Training rows, labels with both classes and v probes of one kind.
+
+    "grid": an integer grid whose second half repeats the first; "ulp": every
+    other row one ulp above the row before it; "offset": a small spread around
+    a large common offset, where the squared-norm formula cancels heavily. All
+    but "offset" are scaled by 10**exponent.
+    """
     rng = np.random.default_rng(seed)
-    X = np.round(rng.normal(size=(24, 2)), 1)
-    y = np.r_[np.zeros(12, dtype=int), np.ones(12, dtype=int)]
-    probes = np.round(rng.normal(size=(15, 2)), 1)
-    probes[:5] = X[rng.choice(24, 5)]  # probes on training rows
-    return OpfClassifier().fit(X, y), X, probes
+    if kind == "grid":
+        X = rng.integers(0, 3, size=(n + v, m)).astype(np.float64)
+        X[n // 2: n] = X[: n - n // 2]
+    elif kind == "offset":
+        X = 1e3 + rng.normal(size=(n + v, m)) * 1e-5
+    else:
+        X = rng.normal(size=(n + v, m))
+    if kind != "offset":
+        X *= 10.0 ** exponent
+    if kind == "ulp":
+        X[1:n:2] = np.nextafter(X[0:n - 1:2], np.inf)
+    X, P = X[:n], X[n:]
+    P[: v // 2] = X[rng.integers(0, n, size=v // 2)]  # probes on training rows
+    y = rng.integers(0, 2, size=n)
+    y[:2] = [0, 1]
+    return X, y, P
 
 
-def test_predict_with_known_columns_equals_plain_predict():
-    for seed in (51, 52, 53):
-        model, X, probes = _rounded_fit(seed)
-        plain = model.predict_batch(probes)
-        block = distance_block(X, probes)
-        for t in (0, 1, len(X) // 2, len(X)):
-            np.testing.assert_array_equal(model.predict_batch(probes, known=block[:, :t]), plain)
+def _exact_fit(X, y, dist):
+    """Prim on the exact matrix, then the fit's prototypes and costs."""
+    joined, parent, weight = _prim(dist)
+    cross = joined[y[joined] != y[parent[joined]]]
+    prototypes = np.unique(np.concatenate([cross, parent[cross]]))
+    return (joined, parent, weight), prototypes, _tree_minimax_costs(weight, joined, parent,
+                                                                     prototypes)
 
 
-def test_predict_rejects_a_misshapen_known_block():
-    model, X, probes = _rounded_fit(54)
-    block = distance_block(X, probes)
-    for bad in (block[0], block[:, :, None], block[:-1], np.vstack([block, block[:1]]),
-                np.hstack([block, block[:, :1]])):
-        with pytest.raises(ValueError, match="known distances must be"):
-            model.predict_batch(probes, known=bad)
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
 
 
-def test_predict_checks_known_cells_and_computed_columns_for_finiteness():
-    model = OpfClassifier().fit([[0.0], [1.0], [5.0], [6.0]], [0, 0, 1, 1])
-    probes = np.array([[0.5], [2.0], [5.5]])
-    block = distance_block(model.train_features_, probes)
-    for value in (np.inf, np.nan):
-        bad = block.copy()
-        bad[1, 0] = value
-        with pytest.raises(ValueError, match="probe 1 must give finite distances"):
-            model.predict_batch(probes, known=bad[:, :2])
-    # the probe overflows in the computed columns, past the known ones
-    with pytest.raises(ValueError, match="probe 2 must give finite distances"):
-        model.predict_batch([[0.5], [2.0], [1e300]], known=block[:, :1])
-    # of two bad probes, the first is named, whichever of its cells is bad
-    bad = block.copy()
-    bad[2, 0] = np.inf
-    with pytest.raises(ValueError, match="probe 1 must give finite distances"):
-        model.predict_batch([[0.5], [-1e300], [5.5]], known=bad[:, :1])
-    with pytest.raises(ValueError, match="probe 0 must give finite distances"):
-        model.predict_batch([[1e300], [2.0], [5.5]], known=bad[:, :1])
+@settings(max_examples=80)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 40), st.integers(1, 64),
+       st.sampled_from(_KINDS), st.integers(-150, 150), st.floats(0.0, 1.0),
+       st.integers(0, 8))
+def test_certified_fit_and_prediction_equal_the_exact_path(seed, n, m, kind, exponent, share, v):
+    X, y, P = _bounded_case(seed, n, m, kind, exponent, v)
+    t = int(share * n)
+    dist = pairwise_distances(X)
+    tree, prototypes, cost = _exact_fit(X, y, dist)
+    model = OpfClassifier().fit(X, y, known_dist=dist[:t, :t])
+    np.testing.assert_array_equal(model.prototypes_, prototypes)
+    assert _bits(model.cost_) == _bits(cost)
+    sq, bounded = squared_norms(X)
+    if bounded.all():
+        # the certified fit: exact known block, lower bounds everywhere else
+        got = _prim(pairwise_lower_bounds(X, sq, dist[:t, :t]), X, t)
+        assert [_bits(a) for a in got] == [_bits(a) for a in tree]
+    want = model.assigned_label_[np.maximum(cost, distance_block(X, P)).argmin(axis=1)]
+    np.testing.assert_array_equal(model.predict_batch(P), want)
+    sq_p, bounded_p = squared_norms(P)
+    if bounded.all() and bounded_p.all():
+        got = model.assigned_label_[_first_minima(X, P, sq, sq_p, cost)]
+        np.testing.assert_array_equal(got, want)
+
+
+def _offset_case():
+    # rows 1e-5 apart around 1e3: the squared-norm formula's error dwarfs the distances
+    rng = np.random.default_rng(3)
+    X = np.round(1e3 + rng.normal(size=(12, 3)) * 1e-5, 9)
+    y = np.r_[np.zeros(6, dtype=int), np.ones(6, dtype=int)]
+    P = 1e3 + rng.normal(size=(20, 3)) * 1e-5
+    return X, y, P
+
+
+def _certified_outputs(X, model, P):
+    sq, sq_p = squared_norms(X)[0], squared_norms(P)[0]
+    tree = _prim(pairwise_lower_bounds(X, sq), X, 0)
+    labels = model.assigned_label_[_first_minima(X, P, sq, sq_p, model.cost_)]
+    return [_bits(a) for a in tree], labels.tolist()
+
+
+def test_certified_bounds_have_teeth(monkeypatch):
+    X, y, P = _offset_case()
+    model = OpfClassifier().fit(X, y)
+    tree = [_bits(a) for a in _prim(pairwise_distances(X))]
+    labels = model.assigned_label_[np.maximum(model.cost_, distance_block(X, P)).argmin(axis=1)]
+    assert _certified_outputs(X, model, P) == (tree, labels.tolist())
+    monkeypatch.setattr(cluster, "_BOUND_FACTOR", cluster._BOUND_FACTOR * 1e-6)
+    got_tree, got_labels = _certified_outputs(X, model, P)
+    assert got_tree != tree and got_labels != labels.tolist()
+
+
+class _NoisyProducts:
+    """numpy, except that every matrix product is off by half the bound's
+    slack: each product moves by (c·(sa + sb) + e) / 4, so the squared
+    distance it gives moves by half the bound, in a random direction."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        out = np.matmul(a, b, out=out)
+        c, e = cluster._bound_terms(a.shape[1])
+        half = (c * ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=0)) + e) / 4
+        out += self.rng.choice([-1.0, 1.0], size=out.shape) * half
+        return out
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_certified_outputs_survive_noise_of_half_the_bound(monkeypatch, kind):
+    for seed in range(6):
+        X, y, P = _bounded_case(seed, 30, 1 + 7 * seed, kind, 0, 12)
+        model = OpfClassifier().fit(X, y)
+        tree = [_bits(a) for a in _prim(pairwise_distances(X))]
+        labels = model.assigned_label_[np.maximum(model.cost_, distance_block(X, P)).argmin(axis=1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(cluster, "np", _NoisyProducts(seed))
+            assert _certified_outputs(X, model, P) == (tree, labels.tolist())
+
+
+def test_certified_fit_is_chosen_by_shape_and_equals_the_exact_fit():
+    rng = np.random.default_rng(61)
+    t, s, m = 100, 200, 40
+    X = rng.normal(size=(t + s, m))
+    X[t:] = X[rng.integers(0, t, size=s)] + 0.1 * rng.normal(size=(s, m))
+    y = np.r_[rng.integers(0, 2, size=t), np.ones(s, dtype=int)]
+    y[:2] = [0, 1]
+    assert _certified_fit(t + s, t, m) and not _certified_fit(t + s, t + s, m)
+    assert not _certified_fit(t + s // 10, t, m)
+    dist = pairwise_distances(X)
+    _, prototypes, cost = _exact_fit(X, y, dist)
+    model = OpfClassifier().fit(X, y, known_dist=dist[:t, :t])
+    np.testing.assert_array_equal(model.prototypes_, prototypes)
+    assert _bits(model.cost_) == _bits(cost)
+
+
+def test_certified_lower_bound_of_a_nan_cell_is_zero():
+    # inf - inf in the squared-norm formula: the lower bound is 0, so the cell
+    # is computed whenever it could matter, and the upper bound is no bound
+    A = np.array([[0.0, 1.0], [2.0, 3.0]])
+    P = np.array([[np.inf, 0.0], [1.0, 1.0]])
+    with np.errstate(invalid="ignore"):  # inf * 0 in the product
+        lower, upper = distance_bounds(A, P, *(squared_norms(Z)[0] for Z in (A, P)))
+    np.testing.assert_array_equal(lower[0], [0.0, 0.0])
+    assert not (upper[0] <= np.inf).any()
+    assert (lower[1] <= distance_block(A, P[1:])[0]).all()
+
+
+def test_certified_paths_raise_todays_overflow_errors():
+    rng = np.random.default_rng(62)
+    n, m = 200, 60
+    assert _certified_fit(n, 0, m)
+    X = rng.normal(size=(n, m))
+    y = np.r_[np.zeros(n // 2, dtype=int), np.ones(n // 2, dtype=int)]
+    bad = X.copy()
+    bad[[7, 9], 0] = [1e200, -1e200]
+    with pytest.raises(ValueError, match="finite pairwise distances"):
+        OpfClassifier().fit(bad, y)
+    # rows past the norm limit whose distances are finite fit on the exact path
+    far = X + 1e160
+    assert not squared_norms(far)[1].any()
+    _, prototypes, cost = _exact_fit(far, y, pairwise_distances(far))
+    model = OpfClassifier().fit(far, y)
+    np.testing.assert_array_equal(model.prototypes_, prototypes)
+    assert _bits(model.cost_) == _bits(cost)
+    # a probe that overflows is named, the first of several, among bounded probes
+    model = OpfClassifier().fit(X, y)
+    probes = rng.normal(size=(5, m))
+    for rows, first in (([2], 2), ([3, 1], 1), ([0, 4], 0)):
+        batch = probes.copy()
+        batch[rows, 0] = 1e300
+        with pytest.raises(ValueError, match=f"probe {first} must give finite distances"):
+            model.predict_batch(batch)
+    batch = probes.copy()
+    batch[4, 1] = -np.inf
+    with pytest.raises(ValueError, match="probe 4 must give finite distances"):
+        model.predict_batch(batch)
+    # a probe past the norm limit whose distances are finite takes the exact path
+    batch = np.vstack([probes, np.full((1, m), 1e152)])
+    want = model.assigned_label_[np.maximum(model.cost_, distance_block(X, batch)).argmin(axis=1)]
+    np.testing.assert_array_equal(model.predict_batch(batch), want)
+    # so does every probe of a model whose training rows are past the limit
+    model = OpfClassifier().fit(far, y)
+    batch = far[:4] + rng.normal(size=(4, m))
+    want = model.assigned_label_[np.maximum(model.cost_, distance_block(far, batch)).argmin(axis=1)]
+    np.testing.assert_array_equal(model.predict_batch(batch), want)

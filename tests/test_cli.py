@@ -214,6 +214,10 @@ def test_data_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", "--data", str(unlabeled)]) == 2
     assert "missing label '?' at row 3, column 3" in capsys.readouterr().err
+    # so is a label that parses to a non-finite number, not a minority class
+    unlabeled.write_text("a,b,label\n1,2,1\n3,4,inf\n5,6,1\n7,8,1\n")
+    assert main(["inspect", "--data", str(unlabeled)]) == 2
+    assert "non-finite label 'inf' at row 3, column 3" in capsys.readouterr().err
 
 
 def test_single_class_csv_is_a_data_error(tmp_path, capsys):

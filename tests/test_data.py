@@ -232,6 +232,26 @@ def test_load_csv_rejects_a_missing_label(tmp_path, token, cell):
         load_csv(path, label_column=1, missing_token=token)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN", "1e999", "Infinity"])
+def test_load_csv_rejects_a_non_finite_label(tmp_path, cell):
+    # inf beside three 1s would read as the minority class; NaN beside two
+    # real labels would fail as a third distinct value
+    path = tmp_path / "nonfinite_label.csv"
+    path.write_text(f"a,b,label\n1,2,1\n3,4,{cell}\n5,6,1\n7,8,1\n")
+    with pytest.raises(DataError, match=re.escape(f"non-finite label {cell!r} at row 3, column 3")):
+        load_csv(path)
+    path.write_text(f"a,b,label\n1,2,0\n3,4,1\n5,6,{cell}\n")
+    with pytest.raises(DataError, match=re.escape(f"non-finite label {cell!r} at row 4, column 3")):
+        load_csv(path)
+    # in a middle label column too, and a finite number or a class name still loads
+    path.write_text(f"1,0,2\n3,1,4\n5,{cell},6\n")
+    with pytest.raises(DataError, match=re.escape(f"non-finite label {cell!r} at row 3, column 2")):
+        load_csv(path, label_column=1)
+    path.write_text("1,0.5,2\n3,1e300,4\n5,infant,6\n")
+    with pytest.raises(DataError, match="3 distinct values"):
+        load_csv(path, label_column=1)
+
+
 def test_load_csv_rejects_non_utf8_bytes(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"1,2,0\n3,4,1\n5,6,0\n\xff\xfe\n")

@@ -229,12 +229,11 @@ def test_method_none_synthesizes_nothing(small_ds, monkeypatch, mode):
         fits.append(known_dist)
         return real_fit(self, X, y, known_dist=known_dist)
 
-    def predict_spy(self, X, known=None):
+    def predict_spy(self, X):
         probes.append(len(X))
-        return real_predict(self, X, known=known)
+        return real_predict(self, X)
 
     monkeypatch.setattr(harness, "pairwise_distances", no_block)
-    monkeypatch.setattr(harness, "distance_block", no_block)
     monkeypatch.setattr(classifier.OpfClassifier, "fit", fit_spy)
     monkeypatch.setattr(classifier.OpfClassifier, "predict_batch", predict_spy)
     report = run_trial(cfg, trial_seed=2, dataset=small_ds)
@@ -379,7 +378,7 @@ def _rounded_blobs():
 def test_each_trial_computes_its_shared_pieces_once(monkeypatch, method):
     ds = _rounded_blobs()
     grid = tuple(range(1, 16)) if method == "o2pf" else tuple(range(1, 10))
-    train, val, _ = data_split(ds, 3)
+    train, _, _ = data_split(ds, 3)
     calls = {}
 
     def count(module, name):
@@ -394,29 +393,25 @@ def test_each_trial_computes_its_shared_pieces_once(monkeypatch, method):
 
         monkeypatch.setattr(module, name, spy)
 
-    for module, name in ((harness, "distance_block"), (baselines, "distance_block"),
-                         (baselines, "_neighbor_table"), (classifier, "distance_block"),
+    for module, name in ((harness, "pairwise_distances"), (baselines, "distance_block"),
+                         (baselines, "_neighbor_table"), (classifier, "pairwise_distances"),
                          (harness, "sweep_normalized_cuts"), (harness, "gaussians_from_forest"),
                          (np.linalg, "eigh")):
         count(module, name)
     report = run_trial(_cfg(method=method, grid=grid, trials=1), trial_seed=3, dataset=ds)
     assert [g for g, _ in report.validation_trace] == list(grid)
-    # one validation x training block, then, for the samplers that read it,
-    # one minority x all block
-    ((args, val_block),) = calls["opfsample.harness.distance_block"]
-    assert (args[0].shape[0], args[1].shape[0]) == (train.n_samples, val.n_samples)
+    # one training block, which every grid value's fit extends, and, for the
+    # samplers that read it, one minority x all block
+    ((args, train_block),) = calls["opfsample.harness.pairwise_distances"]
+    assert args[0].shape == train.features.shape
+    extended = calls["opfsample.classifier.pairwise_distances"]
+    assert len(extended) == len(grid)
+    for (_, known), _ in extended:
+        assert known is train_block
     sampler_blocks = calls["opfsample.baselines.distance_block"]
     assert len(sampler_blocks) == (method in ("borderline_smote", "adasyn"))
     for args, _ in sampler_blocks:
         assert (args[0].shape[0], args[1].shape[0]) == (train.n_samples, train.minority_count)
-    # each grid value's validation prediction is handed the validation block
-    # as its known columns, so it computes only the synthetic ones
-    n_new = sum(report.augmented_counts) - train.n_samples
-    predicted = calls["opfsample.classifier.distance_block"][:len(grid)]
-    assert len(predicted) == len(grid)
-    for (_, _, known), block in predicted:
-        assert known is val_block and known.shape == (val.n_samples, train.n_samples)
-        assert block.shape == (val.n_samples, train.n_samples + n_new)
     # SMOTE sorts its minority order once; no sampler sorts one of its own
     assert len(calls["opfsample.baselines._neighbor_table"]) == (method == "smote")
     # one set of Gaussians per selected forest, one eigendecomposition per Gaussian
