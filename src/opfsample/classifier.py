@@ -33,9 +33,12 @@ costs s(t + s/2)m multiply-adds, against Prim's per-step overhead for
 refining, which grows with n. So a fit
 bounds those s rows only when that work per step, s(t + s/2)m / n, exceeds
 ``_CERTIFY_ABOVE``, and otherwise computes its whole matrix exactly with
-:func:`~opfsample.cluster.pairwise_distances`. A row whose squared norm could
-overflow a bound takes the exact path in both fit and prediction, so an
-overflowing distance raises the same ``ValueError`` as ever.
+:func:`~opfsample.cluster.pairwise_distances`.
+
+Fit and prediction reject, with ``ValueError``, a row too large for the
+package's one row-size rule (:func:`~opfsample.data.squared_norms`, a squared
+norm of at most 2¹⁰⁰⁰), as standardization does. Every squared distance
+between rows within it is at most 2¹⁰⁰², so no distance and no bound overflows.
 
 ``fit`` is the one way a model gets its state: loading a JSON blob refits on
 the stored rows and labels (O(n²)) and rejects a blob whose stored costs or
@@ -48,15 +51,8 @@ import json
 
 import numpy as np
 
-from .cluster import (
-    distance_block,
-    distance_bounds,
-    pairwise_distances,
-    pairwise_lower_bounds,
-    row_distances,
-    squared_norms,
-)
-from .data import _frozen
+from .cluster import distance_bounds, pairwise_distances, pairwise_lower_bounds, row_distances
+from .data import _frozen, squared_norms
 
 SERIAL_FORMAT_VERSION = 2
 # A fit bounds its synthetic rows instead of computing them when the exact work
@@ -70,6 +66,16 @@ def _certified_fit(n: int, t: int, m: int) -> bool:
     distances, bounds the other rows' distances."""
     s = n - t
     return s * (t + s / 2) * m > _CERTIFY_ABOVE * n
+
+
+def _checked_norms(X: np.ndarray, name: str) -> np.ndarray:
+    """``X``'s squared norms; the first row too large for the row-size rule
+    raises ``ValueError`` naming it as ``name`` and its index."""
+    sq, small = squared_norms(X)
+    if not small.all():
+        raise ValueError(
+            f"{name} {int(np.argmin(small))} is too large: its squared norm exceeds 2**1000")
+    return sq
 
 
 def _prim(dist: np.ndarray, X: np.ndarray | None = None,
@@ -142,7 +148,8 @@ def _first_minima(A, P, sq_a, sq_p, cost) -> np.ndarray:
     """Each probe row's first index of least max(cost_j, d_j) over the rows of ``A``.
 
     Computes exactly only the cells that could hold a row's minimum (module
-    docstring); every row of ``A`` and ``P`` must be one that may enter a bound.
+    docstring); ``sq_a`` and ``sq_p`` are the rows' squared norms, every one
+    within the row-size rule.
     """
     lower, upper = distance_bounds(A, P, sq_a, sq_p)
     # a cell with upper_j <= cost_j has the value cost_j; a NaN bound is no bound
@@ -179,7 +186,8 @@ class OpfClassifier:
         rows of ``X`` as :func:`~opfsample.cluster.pairwise_distances` returns
         it; those cells are read as they are, and the result is the same as
         without it. A block that is not square with t <= n raises
-        ``ValueError``, and so does a distance that overflows to inf.
+        ``ValueError``, and so does a row too large for the row-size rule
+        (module docstring), named by its index.
         """
         X = _frozen(X, np.float64)
         y = np.asarray(y)
@@ -194,22 +202,14 @@ class OpfClassifier:
         if classes.size != 2:
             raise ValueError("training requires samples from both classes")
         n, m = X.shape
+        sq = _checked_norms(X, "training row")
         t = np.shape(known_dist)[0] if np.ndim(known_dist) == 2 else 0
-        certified = _certified_fit(n, t, m)
-        if certified:
-            sq, bounded = squared_norms(X)
-            certified = bounded.all()
-        if certified:
+        if _certified_fit(n, t, m):
             dist = pairwise_lower_bounds(X, sq, known_dist)
             exact = t
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                dist = pairwise_distances(X, known=known_dist)
+            dist = pairwise_distances(X, known=known_dist)
             exact = n
-        # a NaN or inf cell wins the max (a distance is never -inf), and the
-        # max needs no n x n temporary at the fit's memory peak
-        if not np.isfinite(dist.max()):
-            raise ValueError("training features must give finite pairwise distances")
         joined, parent, weight = _prim(dist, X, exact)
         cross = joined[y[joined] != y[parent[joined]]]
         prototypes = np.unique(np.concatenate([cross, parent[cross]]))
@@ -238,9 +238,9 @@ class OpfClassifier:
         its smallest value. Only the distances that could decide a label are
         computed exactly (module docstring).
 
-        A probe whose distance to a training sample is not finite (it
-        overflows, or the probe holds inf) raises ``ValueError`` naming the
-        first such probe, as in :meth:`fit`.
+        A probe too large for the row-size rule (module docstring), an inf
+        among them, raises ``ValueError`` naming the first such probe, as in
+        :meth:`fit`.
         """
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
@@ -248,28 +248,9 @@ class OpfClassifier:
             raise ValueError("batch shape does not match the training features")
         if np.isnan(X).any():
             raise ValueError("probes must not contain NaN")
-        A, cost = self.train_features_, self.cost_
-        sq_a, bounded_a = squared_norms(A)
-        sq_p, bounded = squared_norms(X)
-        bounded &= bounded_a.all()
-        index = np.empty(X.shape[0], dtype=np.intp)
-        # rows that could overflow a bound take the exact path; they alone can
-        # give a distance that is not finite
-        rows = np.flatnonzero(~bounded)
-        if rows.size:
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = distance_block(A, X[rows])
-            # as in fit, a NaN or inf cell wins its row's max, with no temporary block
-            bad = np.flatnonzero(~np.isfinite(d.max(axis=1)))
-            if bad.size:
-                raise ValueError(
-                    f"probe {rows[bad[0]]} must give finite distances to training rows")
-            np.maximum(cost, d, out=d)
-            index[rows] = d.argmin(axis=1)
-        rows = np.flatnonzero(bounded)
-        if rows.size:
-            index[rows] = _first_minima(A, X[rows], sq_a, sq_p[rows], cost)
-        return self.assigned_label_[index]
+        sq_p = _checked_norms(X, "probe")
+        A = self.train_features_
+        return self.assigned_label_[_first_minima(A, X, squared_norms(A)[0], sq_p, self.cost_)]
 
     def to_json(self) -> str:
         """Serialize the fitted model to a versioned JSON blob."""

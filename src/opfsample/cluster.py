@@ -32,10 +32,11 @@ subnormals flush to zero. The bounds are therefore
 place, raised to 0 and square rooted. A NaN cell (``inf - inf``) gets the
 lower bound 0 and stays NaN as an upper bound, which callers read as no
 bound. The square root is correctly rounded, hence monotone, so a bound on
-the squared float is a bound on the exact distance itself. A row whose
-squared norm is not finite or exceeds ``2¹⁰⁰⁰`` could overflow a bound; it
-must not enter one (:func:`squared_norms` flags it), and callers compute its
-cells exactly instead.
+the squared float is a bound on the exact distance itself. Every row that
+enters a bound must be within the package's one row-size rule,
+:func:`opfsample.data.squared_norms`: a squared norm of at most ``2¹⁰⁰⁰``,
+so no bound term can overflow. The classifier rejects any other row before
+it bounds.
 """
 
 from __future__ import annotations
@@ -168,19 +169,6 @@ def pairwise_distances(X: np.ndarray, known: np.ndarray | None = None) -> np.nda
 # The certified bounds (module docstring): c = _BOUND_FACTOR * gamma_(m+4), and
 # the underflow term is _BOUND_FACTOR * (m + 4) smallest normal floats.
 _BOUND_FACTOR = 8.0
-# a row whose squared norm exceeds this could overflow a bound
-_SQUARED_NORM_LIMIT = 2.0 ** 1000
-
-
-def squared_norms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's squared norm, and whether the row may enter a bound.
-
-    A row may when its squared norm is finite and at most ``2¹⁰⁰⁰``; a NaN,
-    an inf or an overflow fails that test.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("ij,ij->i", X, X)
-    return sq, sq <= _SQUARED_NORM_LIMIT
 
 
 def _bound_terms(m: int) -> tuple[float, float]:
@@ -210,8 +198,8 @@ def distance_bounds(A: np.ndarray, P: np.ndarray, sq_a: np.ndarray,
                     sq_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds on :func:`distance_block` ``(A, P)``, cell by cell.
 
-    ``sq_a`` and ``sq_p`` are the rows' :func:`squared_norms`, and every row
-    must be one that may enter a bound. One matrix product gives both blocks.
+    ``sq_a`` and ``sq_p`` are the rows' :func:`~opfsample.data.squared_norms`,
+    and every row must be within its limit. One matrix product gives both blocks.
     """
     lower = np.matmul(P, A.T)
     upper = lower.copy()
@@ -227,8 +215,8 @@ def pairwise_lower_bounds(X: np.ndarray, sq: np.ndarray,
     ``known`` is exact and is copied in as in :func:`pairwise_distances`;
     rows t..n-1 get lower bounds against every row, written in place into
     the matrix's own rows, and are mirrored into columns t..n-1 above them.
-    ``sq`` is ``X``'s :func:`squared_norms`, and every row must be one that
-    may enter a bound.
+    ``sq`` is ``X``'s :func:`~opfsample.data.squared_norms`, and every row
+    must be within its limit.
     """
     X = np.asarray(X, dtype=np.float64)
     out, t = _with_known(X, known)
@@ -372,9 +360,12 @@ def normalized_cut(g: KnnGraph, forest: ClusterForest) -> float:
 
     Arc affinity is 1 / (1 + d), so heavier weight means closer samples. A
     single-cluster forest has no external arcs and scores 0. Each term lies
-    in [0, 1], so the total lies in [0, num_clusters].
+    in [0, 1], so the total lies in [0, num_clusters]. A forest whose
+    ``cluster_id`` does not have one entry per node raises ``ValueError``.
     """
     cid = forest.cluster_id
+    if cid.shape != (g.n_nodes,):
+        raise ValueError("cluster forest does not match the graph")
     internal = np.zeros(forest.num_clusters, dtype=np.float64)
     external = np.zeros(forest.num_clusters, dtype=np.float64)
     for i in range(g.n_nodes):

@@ -11,6 +11,11 @@ ownership of its arrays: a :func:`_frozen` read-only copy that no caller shares.
 :func:`_integer` is the one integer rule: wherever a module checks a caller's
 integer (a count, a seed, a column index, a grid value), it checks it with
 :func:`_integer` and keeps the plain ``int`` that comes back.
+:func:`squared_norms` is the one row-size rule: a row whose squared norm
+exceeds ``2¹⁰⁰⁰`` is too large. Standardization rejects such a row as a
+:class:`DataError`, and the classifier rejects it with ``ValueError``; below
+the limit no distance and no certified distance bound
+(:mod:`opfsample.cluster`) can overflow.
 """
 
 from __future__ import annotations
@@ -61,6 +66,21 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
             or minimum is not None and value < minimum):
         raise ValueError(f"{name} must be {_BOUNDS[minimum]}, got {value!r}")
     return int(value)
+
+
+# a row whose squared norm exceeds this is too large (module docstring)
+_SQUARED_NORM_LIMIT = 2.0 ** 1000
+
+
+def squared_norms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's squared norm, and whether the row is within the row-size rule.
+
+    A row is within it when its squared norm is finite and at most
+    ``2¹⁰⁰⁰``; a NaN, an inf or an overflow fails that test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", X, X)
+    return sq, sq <= _SQUARED_NORM_LIMIT
 
 
 def minority_label_of(labels) -> int:
@@ -166,14 +186,14 @@ class PreprocessStats:
     def apply(self, part: Dataset, name: str) -> Dataset:
         """``part`` scaled with these statistics; ``name`` names it in errors.
 
-        A missing cell, or a row whose squared norm overflows (and so would
-        overflow the classifier's distances), raises :class:`DataError`.
+        A missing cell, or a row too large for :func:`squared_norms` once
+        scaled, raises :class:`DataError`.
         """
         if np.isnan(part.features).any():
             raise DataError(f"{name} partition: impute missing cells before standardizing")
         with np.errstate(over="ignore", invalid="ignore"):
             features = (part.features - self.means) / np.where(self.stds == 0, 1.0, self.stds)
-            too_large = ~np.isfinite(np.square(features).sum(axis=1))
+        too_large = ~squared_norms(features)[1]
         if too_large.any():
             i = int(np.argmax(too_large))
             j = int(np.argmax(np.abs(features[i])))
@@ -197,12 +217,13 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
     """Load a comma-separated file into a :class:`Dataset`.
 
     ``label_column`` is either a header name or a (possibly negative) column
-    index; the default is the last column. Feature cells equal to
-    ``missing_token`` become NaN and stay that way until :func:`impute_mean`
-    runs; any other feature cell that parses to a non-finite number (``inf``,
-    ``nan``, ``1e999``) raises :class:`DataError`. A label cell that is empty,
-    equals ``missing_token`` or parses to a non-finite number raises
-    :class:`DataError`: a missing label is not a class. Error messages number
+    index, which passes :func:`_integer`; the default is the last column.
+    Feature cells equal to ``missing_token`` become NaN and stay that way
+    until :func:`impute_mean` runs; any other feature cell that parses to a
+    non-finite number (``inf``, ``nan``, ``1e999``) raises
+    :class:`DataError`. A label cell that is empty, equals ``missing_token``
+    or parses to a non-finite number raises :class:`DataError`: a missing
+    label is not a class. Error messages number
     rows by their line in the file. Row order is preserved. Raw label values
     are mapped onto {0, 1}: numerically when both parse as numbers,
     lexicographically otherwise, smallest first.
@@ -236,7 +257,7 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
         label_idx = first.index(label_column)
         has_header = True
     else:
-        label_idx = int(label_column)
+        label_idx = _integer(label_column, "label_column")
         if label_idx < 0:
             label_idx += width
         if not 0 <= label_idx < width:

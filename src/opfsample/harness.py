@@ -265,7 +265,11 @@ class _O2pfSweep:
 
 
 def oversample_to_count(ds: Dataset, n_new: int, k_max: int, seed: int) -> Dataset:
-    """Append exactly ``n_new`` O²PF minority samples to ``ds``, searching k in 1..k_max."""
+    """Append exactly ``n_new`` O²PF minority samples to ``ds``, searching k in 1..k_max.
+
+    ``n_new`` and ``seed`` are nonnegative integers (:func:`~opfsample.data._integer`).
+    """
+    seed = _integer(seed, "seed", 0)
     if _integer(n_new, "n_new", 0) == 0:
         return ds
     minority_X = ds.features[ds.labels == ds.minority_label]
@@ -371,7 +375,11 @@ def select_hyperparameter(augmenter: _TrialAugmenter, val: Dataset):
 
 def run_trial(cfg: ExperimentConfig, trial_seed: int, *, trial: int = 0,
               dataset: Dataset) -> TrialReport:
-    """Run the full pipeline once on ``dataset`` with the given split seed."""
+    """Run the full pipeline once on ``dataset`` with the given split seed.
+
+    ``trial``, the index the report records, is a nonnegative integer.
+    """
+    trial = _integer(trial, "trial", 0)
     train_raw, val_raw, test_raw = split(dataset, trial_seed)
     train, (val,) = impute_mean(train_raw, [val_raw])
     stats, train = standardize(train)

@@ -19,8 +19,9 @@ from opfsample.cluster import (
     distance_bounds,
     pairwise_distances,
     pairwise_lower_bounds,
-    squared_norms,
 )
+from opfsample.data import Dataset, PreprocessStats, squared_norms
+from opfsample.errors import DataError
 
 from helpers import (
     classifier_cost_closure,
@@ -295,18 +296,41 @@ def test_fitted_and_loaded_models_hold_read_only_copies():
 
 
 def test_fit_rejects_distances_that_overflow():
-    # each feature is finite, but squared differences overflow to inf
-    with pytest.raises(ValueError, match="finite pairwise distances"):
-        OpfClassifier().fit([[1e200], [-1e200], [0.0], [2e200]], [0, 1, 0, 1])
+    # each feature is finite, but a row whose squared differences could
+    # overflow is past the row-size rule: the first such row is named
+    with pytest.raises(ValueError, match="training row 1 is too large"):
+        OpfClassifier().fit([[0.0], [-1e200], [1e200], [2e200]], [0, 1, 0, 1])
+    with pytest.raises(ValueError, match="training row 2 is too large"):
+        OpfClassifier().fit([[0.0, 1.0], [1.0, 0.0], [0.0, np.inf]], [0, 1, 0])
 
 
 def test_predict_rejects_distances_that_overflow():
     model = OpfClassifier().fit([[0.0], [1.0], [5.0], [6.0]], [0, 0, 1, 1])
-    for probe in (1e300, np.inf):
-        with pytest.raises(ValueError, match="probe 0 must give finite distances"):
+    for probe in (1e300, np.inf, 1e152):
+        with pytest.raises(ValueError, match="probe 0 is too large"):
             model.predict_batch([[probe]])
-    with pytest.raises(ValueError, match="probe 1 must give finite distances"):
+    with pytest.raises(ValueError, match="probe 1 is too large"):
         model.predict_batch([[0.5], [-1e300]])
+
+
+def test_one_row_size_rule_from_standardization_to_the_classifier():
+    # a squared norm of exactly 2**1000 is within the rule, one ulp more is not
+    at, past = 2.0 ** 500, 2.0 ** 500 * (1 + 2.0 ** -52)
+    assert at * at == 2.0 ** 1000 < past * past
+    stats = PreprocessStats(np.zeros(2), np.ones(2))  # scales every cell by 1
+    for row in ([at, 0.0], [0.0, -at]):
+        part = Dataset.from_arrays([[0.0, 0.0], row], [0, 1])
+        np.testing.assert_array_equal(stats.apply(part, "test").features, part.features)
+        model = OpfClassifier().fit(part.features, part.labels)
+        assert model.predict_batch([row, [1.0, 1.0]]).tolist() == [1, 0]
+    for row in ([past, 0.0], [0.0, -past]):
+        part = Dataset.from_arrays([[0.0, 0.0], row], [0, 1])
+        with pytest.raises(DataError, match="test partition row 2, .* is too large"):
+            stats.apply(part, "test")
+        with pytest.raises(ValueError, match="training row 1 is too large"):
+            OpfClassifier().fit(part.features, part.labels)
+        with pytest.raises(ValueError, match="probe 1 is too large"):
+            model.predict_batch([[1.0, 1.0], row])
 
 
 def test_fit_with_known_prefix_equals_plain_fit():
@@ -395,22 +419,28 @@ def _bits(a):
 def test_certified_fit_and_prediction_equal_the_exact_path(seed, n, m, kind, exponent, share, v):
     X, y, P = _bounded_case(seed, n, m, kind, exponent, v)
     t = int(share * n)
+    sq, small = squared_norms(X)
+    if not small.all():  # rows past the row-size rule are refused, never bounded
+        with pytest.raises(ValueError, match="training row .* is too large"):
+            OpfClassifier().fit(X, y)
+        return
     dist = pairwise_distances(X)
     tree, prototypes, cost = _exact_fit(X, y, dist)
     model = OpfClassifier().fit(X, y, known_dist=dist[:t, :t])
     np.testing.assert_array_equal(model.prototypes_, prototypes)
     assert _bits(model.cost_) == _bits(cost)
-    sq, bounded = squared_norms(X)
-    if bounded.all():
-        # the certified fit: exact known block, lower bounds everywhere else
-        got = _prim(pairwise_lower_bounds(X, sq, dist[:t, :t]), X, t)
-        assert [_bits(a) for a in got] == [_bits(a) for a in tree]
+    # the certified fit: exact known block, lower bounds everywhere else
+    got = _prim(pairwise_lower_bounds(X, sq, dist[:t, :t]), X, t)
+    assert [_bits(a) for a in got] == [_bits(a) for a in tree]
+    sq_p, small_p = squared_norms(P)
+    if not small_p.all():
+        with pytest.raises(ValueError, match="probe .* is too large"):
+            model.predict_batch(P)
+        return
     want = model.assigned_label_[np.maximum(cost, distance_block(X, P)).argmin(axis=1)]
     np.testing.assert_array_equal(model.predict_batch(P), want)
-    sq_p, bounded_p = squared_norms(P)
-    if bounded.all() and bounded_p.all():
-        got = model.assigned_label_[_first_minima(X, P, sq, sq_p, cost)]
-        np.testing.assert_array_equal(got, want)
+    got = model.assigned_label_[_first_minima(X, P, sq, sq_p, cost)]
+    np.testing.assert_array_equal(got, want)
 
 
 def _offset_case():
@@ -499,41 +529,31 @@ def test_certified_lower_bound_of_a_nan_cell_is_zero():
     assert (lower[1] <= distance_block(A, P[1:])[0]).all()
 
 
-def test_certified_paths_raise_todays_overflow_errors():
+def test_certified_paths_reject_rows_past_the_norm_limit():
     rng = np.random.default_rng(62)
     n, m = 200, 60
     assert _certified_fit(n, 0, m)
     X = rng.normal(size=(n, m))
     y = np.r_[np.zeros(n // 2, dtype=int), np.ones(n // 2, dtype=int)]
     bad = X.copy()
-    bad[[7, 9], 0] = [1e200, -1e200]
-    with pytest.raises(ValueError, match="finite pairwise distances"):
+    bad[[9, 7], 0] = [1e200, -1e200]
+    with pytest.raises(ValueError, match="training row 7 is too large"):
         OpfClassifier().fit(bad, y)
-    # rows past the norm limit whose distances are finite fit on the exact path
+    # rows past the norm limit are refused even when their distances are finite
     far = X + 1e160
-    assert not squared_norms(far)[1].any()
-    _, prototypes, cost = _exact_fit(far, y, pairwise_distances(far))
-    model = OpfClassifier().fit(far, y)
-    np.testing.assert_array_equal(model.prototypes_, prototypes)
-    assert _bits(model.cost_) == _bits(cost)
-    # a probe that overflows is named, the first of several, among bounded probes
+    with pytest.raises(ValueError, match="training row 0 is too large"):
+        OpfClassifier().fit(far, y)
+    with pytest.raises(ValueError, match="training row 150 is too large"):
+        OpfClassifier().fit(np.vstack([X[:150], far[150:]]), y,
+                            known_dist=pairwise_distances(X[:150]))
+    # the first probe past the limit is named, among probes within it
     model = OpfClassifier().fit(X, y)
     probes = rng.normal(size=(5, m))
-    for rows, first in (([2], 2), ([3, 1], 1), ([0, 4], 0)):
+    for rows, first, value in (([2], 2, 1e300), ([3, 1], 1, 1e152), ([0, 4], 0, -np.inf)):
         batch = probes.copy()
-        batch[rows, 0] = 1e300
-        with pytest.raises(ValueError, match=f"probe {first} must give finite distances"):
+        batch[rows, 0] = value
+        with pytest.raises(ValueError, match=f"probe {first} is too large"):
             model.predict_batch(batch)
-    batch = probes.copy()
-    batch[4, 1] = -np.inf
-    with pytest.raises(ValueError, match="probe 4 must give finite distances"):
-        model.predict_batch(batch)
-    # a probe past the norm limit whose distances are finite takes the exact path
-    batch = np.vstack([probes, np.full((1, m), 1e152)])
-    want = model.assigned_label_[np.maximum(model.cost_, distance_block(X, batch)).argmin(axis=1)]
-    np.testing.assert_array_equal(model.predict_batch(batch), want)
-    # so does every probe of a model whose training rows are past the limit
-    model = OpfClassifier().fit(far, y)
-    batch = far[:4] + rng.normal(size=(4, m))
-    want = model.assigned_label_[np.maximum(model.cost_, distance_block(far, batch)).argmin(axis=1)]
-    np.testing.assert_array_equal(model.predict_batch(batch), want)
+    want = model.assigned_label_[np.maximum(model.cost_, distance_block(X, probes)).argmin(axis=1)]
+    np.testing.assert_array_equal(model.predict_batch(probes), want)
+    assert model.predict_batch(np.empty((0, m))).shape == (0,)

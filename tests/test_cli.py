@@ -262,6 +262,20 @@ def test_overflowing_validation_cell_is_a_data_error(tmp_path, capsys):
     assert "data error:" in err and "validation partition row 1, column 'b'" in err
 
 
+@pytest.mark.parametrize("partition, name", [(1, "validation"), (2, "test")])
+def test_a_row_past_the_norm_limit_is_a_data_error(tmp_path, capsys, partition, name):
+    # 1e152 squares to about 1e304: finite, but past the row-size rule's 2**1000
+    rng = np.random.default_rng(88)
+    X = rng.normal(size=(40, 2))
+    y = np.tile([0, 0, 1, 0], 10)
+    parts = split(Dataset.from_arrays(np.c_[X, np.arange(40)], y), 0)
+    X[int(parts[partition].features[0, -1]), 0] = 1e152
+    path = write_dataset_csv(tmp_path / "far.csv", X, y, header=["a", "b"])
+    assert main(["run", "--data", str(path), "--method", "none", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and f"{name} partition row 1, column 'a'" in err
+
+
 def test_experiment_failure_exits_3(tmp_path, capsys):
     # a single minority sample cannot reach all three partitions
     rng = np.random.default_rng(82)

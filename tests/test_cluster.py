@@ -157,10 +157,14 @@ def test_knn_errors():
     Y[5, 1] = -np.inf
     with pytest.raises(ValueError, match="finite"):
         sweep_normalized_cuts(Y, 4)
-    # a density map of another graph's size
+    # a density map, or a forest, of another graph's size
     g = build_knn_graph(Y[:5], 1)
     with pytest.raises(ValueError, match="does not match"):
         cluster_ift(g, DensityMap(np.ones(4), 1.0, 0.1))
+    big = build_knn_graph(Y[6:], 2)
+    for graph, other in ((g, big), (big, g)):
+        with pytest.raises(ValueError, match="forest does not match the graph"):
+            normalized_cut(graph, cluster_ift(other, compute_density(other)))
 
 
 def test_density_symmetric_pair():

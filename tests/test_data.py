@@ -192,6 +192,11 @@ def test_load_csv_errors(tmp_path):
         load_csv(no_col, label_column="missing")
     with pytest.raises(DataError, match="out of range"):
         load_csv(no_col, label_column=2)
+    # an index passes the one integer rule: no bool, no float, not even 1.0
+    for label_column in (True, np.bool_(True), 1.5, 1.9, 1.0):
+        with pytest.raises(ValueError, match="^label_column must be an integer"):
+            load_csv(no_col, label_column=label_column)
+    assert load_csv(no_col, label_column=np.int64(1)).labels.tolist() == [0, 1]
     one_col = tmp_path / "onecol.csv"
     one_col.write_text("0\n1\n0\n")
     with pytest.raises(DataError, match="at least one feature column"):

@@ -121,6 +121,15 @@ def test_singleton_grid_chooses_it(small_ds):
     assert [g for g, _ in report.validation_trace] == [4]
 
 
+def test_run_trial_takes_only_a_nonnegative_integer_trial(small_ds):
+    cfg = _cfg(method="none", grid=None, trials=1)
+    for trial in ("x", -4, *NOT_INTEGERS):
+        with pytest.raises(ValueError, match="^trial must be a nonnegative integer"):
+            run_trial(cfg, trial_seed=3, trial=trial, dataset=small_ds)
+    report = run_trial(cfg, trial_seed=3, trial=np.int64(2), dataset=small_ds)
+    assert type(report.trial) is int and report.trial == 2
+
+
 def test_method_none_has_no_grid(small_ds):
     cfg = _cfg(method="none", grid=None, trials=1)
     report = run_trial(cfg, trial_seed=3, dataset=small_ds)

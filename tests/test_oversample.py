@@ -287,7 +287,7 @@ def test_oversample_requires_minority():
     ds = Dataset(rng.normal(size=(6, 2)), np.zeros(6, dtype=int), ("a", "b"), 1)
     with pytest.raises(ValueError, match="minority"):
         oversample_to_count(ds, 3, k_max=2, seed=0)
-    # a zero request returns the set itself before any check; a negative one raises
+    # a zero request returns the set itself before the minority check; a negative one raises
     assert oversample_to_count(ds, 0, k_max=2, seed=0) is ds
     with pytest.raises(ValueError, match="nonnegative"):
         oversample_to_count(ds, -1, k_max=2, seed=0)
@@ -295,6 +295,11 @@ def test_oversample_requires_minority():
         with pytest.raises(ValueError, match="^n_new must be"):
             oversample_to_count(ds, n_new, k_max=2, seed=0)
     assert oversample_to_count(ds, np.int64(0), k_max=2, seed=0) is ds
+    # the seed is checked before anything else, a zero request included
+    for seed in (*NOT_INTEGERS, -1):
+        for n_new in (0, 3):
+            with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+                oversample_to_count(ds, n_new, k_max=2, seed=seed)
 
 
 def test_oversample_to_count_keeps_two_blobs_apart():
