@@ -42,7 +42,7 @@ from .harness import (
     run_experiment,
     run_trial,
 )
-from .metrics import Confusion, Scores, WilcoxonResult, score, wilcoxon_signed_rank
+from .metrics import Scores, WilcoxonResult, score, wilcoxon_signed_rank
 from .oversample import (
     ClusterGaussian,
     OversamplePlan,
@@ -62,7 +62,7 @@ __all__ = [
     "DataError", "ExperimentError", "UsageError",
     "ComparisonReport", "ExperimentConfig", "ExperimentReport", "TrialReport",
     "compare_methods", "oversample_to_count", "run_experiment", "run_trial",
-    "Confusion", "Scores", "WilcoxonResult", "score", "wilcoxon_signed_rank",
+    "Scores", "WilcoxonResult", "score", "wilcoxon_signed_rank",
     "ClusterGaussian", "OversamplePlan",
     "allocate", "synthesize",
     "__version__",

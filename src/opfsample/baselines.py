@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import _neighbor_order, distance_block, pairwise_distances
-from .data import _integer, _own, minority_label_of
+from .data import _integer, _minority_label, _own, minority_label_of
 from .oversample import largest_remainder
 
 logger = logging.getLogger(__name__)
@@ -160,7 +160,7 @@ def _minority_neighbors(X, y, cfg: NeighborConfig, minority_label, n_new: int = 
     given. Without ``orders``, they are computed at a width of kappa."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    minority = minority_label_of(y) if minority_label is None else int(minority_label)
+    minority = minority_label_of(y) if minority_label is None else _minority_label(minority_label)
     n_min = int(np.count_nonzero(y == minority))
     _check(X, n_min, cfg.kappa, n_new)
     if orders is None:

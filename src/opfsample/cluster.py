@@ -10,8 +10,11 @@ The package's exact Euclidean distances all come from this module:
 :func:`pairwise_distances` for the square matrix of one set, each pair
 computed once, :func:`distance_block` for probe rows against the rows of
 another set, and :func:`row_distances` for any chosen cells. Each computes a
-cell as the square root of its feature-ordered sum of squared differences, so
-a pair gives the same float in all three.
+cell as :func:`row_distances` does: the square root of one numpy sum over
+that pair's row of squared differences. The sum is not taken in feature order
+(numpy adds a row of 8 or more terms pairwise), but it is the same reduction
+over the same row wherever the cell is computed, so a pair gives the same
+float in all three.
 
 Certified bounds. :func:`distance_bounds` and :func:`pairwise_lower_bounds`
 bound those exact cells from one matrix product, so a caller computes exactly
@@ -148,8 +151,8 @@ def _with_known(X: np.ndarray, known) -> tuple[np.ndarray, int]:
 def pairwise_distances(X: np.ndarray, known: np.ndarray | None = None) -> np.ndarray:
     """Exact Euclidean distance matrix; each pair is computed once.
 
-    Row i is computed against rows 0..i only, as the square root of its
-    feature-ordered sum of squared differences, and mirrored into column i.
+    Row i is computed against rows 0..i only, by :func:`row_distances`, and
+    mirrored into column i.
     Negating a difference is exact, so every cell equals what a full
     row-by-row pass gives, bit for bit (no cancellation tricks).
 

@@ -68,6 +68,14 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _minority_label(value) -> int:
+    """``value`` as a plain int class label, 0 or 1, under the :func:`_integer` rule."""
+    label = _integer(value, "minority_label", 0)
+    if label > 1:
+        raise ValueError(f"minority_label must be 0 or 1, got {value!r}")
+    return label
+
+
 # a row whose squared norm exceeds this is too large (module docstring)
 _SQUARED_NORM_LIMIT = 2.0 ** 1000
 
@@ -118,14 +126,16 @@ class Dataset:
             raise DataError("labels must be a vector matching the feature rows")
         if not ((labels == 0) | (labels == 1)).all():
             raise DataError("labels must take values in {0, 1}")
-        if self.minority_label not in (0, 1):
-            raise DataError("minority_label must be 0 or 1")
+        try:
+            minority = _minority_label(self.minority_label)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
         names = tuple(str(name) for name in self.feature_names)
         if len(names) != m:
             raise DataError("feature_names length must match feature count")
         _own(self, labels=np.int64)
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "minority_label", int(self.minority_label))
+        object.__setattr__(self, "minority_label", minority)
 
     @classmethod
     def from_arrays(cls, features, labels, feature_names=None, minority_label=None) -> "Dataset":
@@ -225,8 +235,9 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
     or parses to a non-finite number raises :class:`DataError`: a missing
     label is not a class. Error messages number
     rows by their line in the file. Row order is preserved. Raw label values
-    are mapped onto {0, 1}: numerically when both parse as numbers,
-    lexicographically otherwise, smallest first.
+    are mapped onto {0, 1}, smallest first: by numeric value when every label
+    parses as a number (so ``1`` and ``1.0`` are one class), as text
+    otherwise.
 
     ``path`` is a ``str``, ``bytes`` or :class:`os.PathLike` file path; any
     other value, an ``int`` file descriptor among them, raises
@@ -299,13 +310,13 @@ def load_csv(path, label_column=-1, missing_token: str = "?") -> Dataset:
             values.append(value)
         features.append(values)
 
-    distinct = sorted(set(raw_labels))
+    numeric = all(_parses_as_float(v) for v in set(raw_labels))
+    keys = [float(v) for v in raw_labels] if numeric else raw_labels
+    distinct = sorted(set(keys))
     if len(distinct) > 2:
         raise DataError(f"{path}: label column has {len(distinct)} distinct values, expected at most 2")
-    if all(_parses_as_float(v) for v in distinct):
-        distinct.sort(key=float)
     mapping = {v: i for i, v in enumerate(distinct)}
-    labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
+    labels = np.array([mapping[v] for v in keys], dtype=np.int64)
 
     if names is None:
         names = [f"f{j}" for j in range(width - 1)]

@@ -460,13 +460,15 @@ class ComparisonReport:
     ``rows`` is built here, one :class:`SignificanceRow` per report in order,
     by :func:`significance_rows` over the reports' recall vectors, so a
     report's rows always agree with its reports. Reports with unequal trial
-    counts, or no report at all, raise ``ValueError``.
+    counts, a method reported twice (its report files share one name), or no
+    report at all, raise ``ValueError``.
     """
 
     reports: tuple[ExperimentReport, ...]
     rows: tuple[SignificanceRow, ...] = field(init=False)
 
     def __post_init__(self):
+        _require_distinct_methods([r.config.method for r in self.reports])
         rows = significance_rows([(r.config.method, r.recall_vector()) for r in self.reports])
         object.__setattr__(self, "rows", tuple(rows))
 
@@ -475,14 +477,23 @@ class ComparisonReport:
         return next(r.method for r in self.rows if r.is_best)
 
 
+def _require_distinct_methods(methods) -> None:
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"each method may be compared once; repeated: {', '.join(repeated)}")
+
+
 def compare_methods(configs, dataset: Dataset | None = None) -> ComparisonReport:
     """Run several methods on identical seed sequences and compare recall.
 
     All configs must agree on everything except the method and its grid;
-    in particular the seed sequence must match so splits are paired.
+    in particular the seed sequence must match so splits are paired. Each
+    method appears once; a repeated one raises ``ValueError`` before any
+    trial runs.
     """
     if not configs:
         raise ValueError("need at least one config to compare")
+    _require_distinct_methods([cfg.method for cfg in configs])
     ref = configs[0]
     for cfg in configs[1:]:
         same = replace(cfg, method=ref.method, grid=ref.grid)

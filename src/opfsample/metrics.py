@@ -20,20 +20,6 @@ MIN_EFFECTIVE_PAIRS = 5
 
 
 @dataclass(frozen=True)
-class Confusion:
-    """Counts with the minority class as positive."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True)
 class Scores:
     """Recall, accuracy and F1; the flags mark zero-denominator fallbacks."""
 
@@ -44,7 +30,8 @@ class Scores:
     f1_defined: bool = True
 
 
-def confusion(truth, pred, minority: int) -> Confusion:
+def score(truth, pred, minority: int) -> Scores:
+    """Minority recall, accuracy, and F1; undefined ratios score 0 (flagged)."""
     truth = np.asarray(truth)
     pred = np.asarray(pred)
     if truth.shape != pred.shape or truth.ndim != 1:
@@ -56,18 +43,11 @@ def confusion(truth, pred, minority: int) -> Confusion:
     tp = int(np.count_nonzero(pos_truth & pos_pred))
     fp = int(np.count_nonzero(~pos_truth & pos_pred))
     fn = int(np.count_nonzero(pos_truth & ~pos_pred))
-    tn = truth.size - tp - fp - fn
-    return Confusion(tp, fp, tn, fn)
-
-
-def score(truth, pred, minority: int) -> Scores:
-    """Minority recall, accuracy, and F1; undefined ratios score 0 (flagged)."""
-    c = confusion(truth, pred, minority)
-    recall_defined = (c.tp + c.fn) > 0
-    f1_defined = (2 * c.tp + c.fp + c.fn) > 0
-    recall = c.tp / (c.tp + c.fn) if recall_defined else 0.0
-    f1 = 2 * c.tp / (2 * c.tp + c.fp + c.fn) if f1_defined else 0.0
-    accuracy = (c.tp + c.tn) / c.total
+    recall_defined = (tp + fn) > 0
+    f1_defined = (2 * tp + fp + fn) > 0
+    recall = tp / (tp + fn) if recall_defined else 0.0
+    f1 = 2 * tp / (2 * tp + fp + fn) if f1_defined else 0.0
+    accuracy = (truth.size - fp - fn) / truth.size
     return Scores(recall, accuracy, f1, recall_defined, f1_defined)
 
 
@@ -75,15 +55,23 @@ def score(truth, pred, minority: int) -> Scores:
 class WilcoxonResult:
     """Outcome of the paired two-sided signed-rank test at alpha = 0.05.
 
-    ``conclusive`` is False when fewer than 5 nonzero differences remain, in
-    which case the result is never significant and the p-value is set to 1.
+    The verdict is derived from the fields, never stored beside them:
+    ``conclusive`` is False when fewer than 5 nonzero differences remain (the
+    p-value is then set to 1), and ``significant`` needs a conclusive test
+    with p < alpha.
     """
 
     statistic: float
     p_value: float
     n_effective: int
-    significant: bool
-    conclusive: bool
+
+    @property
+    def conclusive(self) -> bool:
+        return self.n_effective >= MIN_EFFECTIVE_PAIRS
+
+    @property
+    def significant(self) -> bool:
+        return self.conclusive and self.p_value < ALPHA
 
 
 def tied_ranks(values) -> np.ndarray:
@@ -146,9 +134,9 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
     if n_eff < MIN_EFFECTIVE_PAIRS:
-        return WilcoxonResult(w, 1.0, n_eff, False, False)
+        return WilcoxonResult(w, 1.0, n_eff)
 
     # The null distribution is symmetric and W <= T/2, so the upper tail
     # mirrors the lower one. The two overlap only at W = T/2, where p is 1.
     p = min(1.0, 2.0 * signed_rank_tail(ranks, w))
-    return WilcoxonResult(w, p, n_eff, p < ALPHA, True)
+    return WilcoxonResult(w, p, n_eff)

@@ -59,8 +59,8 @@ def symmetrize(knn: list[list[int]]) -> list[set[int]]:
 def pairwise_rows(X: np.ndarray) -> np.ndarray:
     """Full distance matrix, each row against every row in one numpy pass.
 
-    Every cell sums its squared differences in feature order, as the library
-    kernel does, so the two agree bit for bit.
+    Every cell is the same numpy reduction over its row of squared differences
+    as the library kernel's, so the two agree bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     out = np.empty((len(X), len(X)))

@@ -76,6 +76,22 @@ def test_zero_request_still_checks_inputs():
                 call()
 
 
+def test_minority_label_passes_the_one_integer_rule():
+    X = np.array([[0.0], [1.0], [2.0], [9.0]])
+    y = np.array([1, 1, 0, 0])
+    ok = NeighborConfig(kappa=1, seed=1)
+    for call in (
+        lambda label: borderline_smote(X, y, 3, ok, minority_label=label),
+        lambda label: adasyn(X, y, ok, 3, minority_label=label),
+        lambda label: borderline_danger_mask(X, y, ok, minority_label=label),
+        lambda label: adasyn_allocation(X, y, ok, 3, minority_label=label),
+    ):
+        for label in (True, 1.0, 1.7, 2, -1):
+            with pytest.raises(ValueError, match="^minority_label must be"):
+                call(label)
+        np.testing.assert_array_equal(call(np.int64(1)), call(1))
+
+
 def test_smote_needs_two_minority_samples():
     with pytest.raises(ValueError, match="need at least two minority samples"):
         smote(np.zeros((1, 2)), 3, NeighborConfig(kappa=1, seed=1))

@@ -35,8 +35,14 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), ("a", "b"), 0)
     with pytest.raises(DataError):
         Dataset(np.zeros((3, 2)), np.array([0, 1]), ("a", "b"), 0)
-    with pytest.raises(DataError, match="minority_label"):
-        Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), ("a", "b"), 2)
+    # the minority label passes the one integer rule and is 0 or 1
+    for label in (True, 1.0, 1.7, 2, -1):
+        with pytest.raises(DataError, match="^minority_label must be"):
+            Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), ("a", "b"), label)
+        with pytest.raises(DataError, match="^minority_label must be"):
+            Dataset.from_arrays(np.zeros((3, 2)), [0, 1, 1], minority_label=label)
+    ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), ("a", "b"), np.int64(1))
+    assert ds.minority_label == 1 and type(ds.minority_label) is int
     with pytest.raises(DataError, match="feature_names"):
         Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), ("a", "b", "c"), 0)
     ds = Dataset.from_arrays(np.zeros((3, 2)), [0, 1, 1])
@@ -169,6 +175,17 @@ def test_load_csv_numeric_label_mapping(tmp_path):
     path.write_text("1,2\n2,4\n3,2\n")
     ds = load_csv(path)
     np.testing.assert_array_equal(ds.labels, [0, 1, 0])  # 2 -> 0, 4 -> 1
+
+
+def test_load_csv_maps_numeric_labels_by_value(tmp_path):
+    # 1 and 1.0 are one value, so one class
+    ones = tmp_path / "ones.csv"
+    ones.write_text("1,1\n2,1\n3,1\n4,1.0\n5,1.0\n")
+    assert load_csv(ones).labels.tolist() == [0] * 5
+    # 0, 1 and 1.0 are two classes, not three distinct values
+    two = tmp_path / "two.csv"
+    two.write_text("1,0\n2,1.0\n3,1\n4,0.0\n5,1\n")
+    assert load_csv(two).labels.tolist() == [0, 1, 1, 0, 1]
 
 
 def test_load_csv_errors(tmp_path):

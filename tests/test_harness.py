@@ -612,6 +612,19 @@ def test_compare_methods_requires_shared_seeds(small_ds):
         compare_methods([], dataset=small_ds)
 
 
+def test_compare_methods_rejects_a_repeated_method_before_any_trial(small_ds, monkeypatch):
+    # two grids of one method would write one set of report files twice
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args, **kwargs: ran.append(args))
+    configs = [_cfg(method="smote", grid=(3,)), _cfg(method="none", grid=None),
+               _cfg(method="smote", grid=(7,))]
+    with pytest.raises(ValueError, match="repeated: smote$"):
+        compare_methods(configs, dataset=small_ds)
+    with pytest.raises(ValueError, match="repeated: smote$"):
+        compare_methods(configs)  # before "unused.csv" is loaded, too
+    assert ran == []
+
+
 def test_compare_methods_rows_in_config_order(small_ds):
     configs = [
         _cfg(method="none", grid=None, trials=1),
@@ -674,6 +687,12 @@ def test_comparison_report_rejects_unpaired_or_empty_reports():
         ComparisonReport((_recall_report("none", [0.5] * 5), _recall_report("smote", [0.5] * 6)))
     with pytest.raises(ValueError, match="at least one recall vector"):
         ComparisonReport(())
+
+
+def test_comparison_report_rejects_a_repeated_method():
+    reports = tuple(_recall_report(m, [0.5, 0.6, 0.7]) for m in ("o2pf", "none", "o2pf", "none"))
+    with pytest.raises(ValueError, match="repeated: none, o2pf$"):
+        ComparisonReport(reports)
 
 
 def test_report_emitters(small_ds, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import opfsample
+from opfsample import metrics
 from opfsample.metrics import (
-    confusion,
+    ALPHA,
+    WilcoxonResult,
     score,
     signed_rank_tail,
     tied_ranks,
@@ -46,12 +49,46 @@ def test_confusion_fixture_arithmetic():
     # tp=9, fn=1, fp=3, tn=87
     truth = np.r_[np.ones(10), np.zeros(90)]
     pred = np.r_[np.ones(9), [0], np.ones(3), np.zeros(87)]
-    c = confusion(truth, pred, minority=1)
-    assert (c.tp, c.fn, c.fp, c.tn) == (9, 1, 3, 87)
     s = score(truth, pred, minority=1)
     assert s.recall == pytest.approx(0.9)
     assert s.accuracy == pytest.approx(0.96)
     assert s.f1 == pytest.approx(18 / 22)
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40),
+       st.integers(0, 1))
+def test_score_equals_a_brute_force_count(pairs, minority):
+    tp = sum(t == minority and p == minority for t, p in pairs)
+    fp = sum(t != minority and p == minority for t, p in pairs)
+    fn = sum(t == minority and p != minority for t, p in pairs)
+    tn = sum(t != minority and p != minority for t, p in pairs)
+    truth, pred = np.array(pairs).T
+    s = score(truth, pred, minority)
+    assert s.recall_defined == (tp + fn > 0)
+    assert s.f1_defined == (2 * tp + fp + fn > 0)
+    assert s.recall == (tp / (tp + fn) if tp + fn else 0.0)
+    assert s.accuracy == (tp + tn) / len(pairs)
+    assert s.f1 == (2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0)
+
+
+def test_metrics_keep_one_result_per_measurement():
+    assert not hasattr(metrics, "Confusion") and not hasattr(metrics, "confusion")
+    assert "Confusion" not in opfsample.__all__
+    assert [f.name for f in dataclasses.fields(WilcoxonResult)] == [
+        "statistic", "p_value", "n_effective"]
+    # the verdict follows from the p-value and the pair count, never beside them
+    assert not WilcoxonResult(0.0, 0.9, 20).significant
+    assert WilcoxonResult(0.0, 0.01, 5).significant
+    assert not WilcoxonResult(0.0, 0.01, 4).conclusive
+    assert not WilcoxonResult(0.0, 0.01, 4).significant
+
+
+@given(st.lists(st.floats(-3, 3, allow_nan=False), max_size=30), st.floats(0, 2), st.integers(0, 1))
+def test_wilcoxon_verdict_follows_its_p_value_and_pair_count(values, shift, decimals):
+    a = np.round(np.asarray(values, dtype=np.float64), decimals) + shift
+    res = wilcoxon_signed_rank(a, np.zeros_like(a))
+    assert res.conclusive == (res.n_effective >= 5)
+    assert res.significant == (res.conclusive and res.p_value < ALPHA)
 
 
 def test_zero_denominators_flagged():
